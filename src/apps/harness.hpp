@@ -5,12 +5,12 @@
 ///
 /// Two pieces:
 ///
-/// `OwdApp` — the page-consuming one-way-delay meter. Unlike the legacy
-/// `OwdMeter` (which takes arbitrary ClockFn callbacks), probes here carry a
-/// full page sample — split timestamp, claimed uncertainty, staleness — and
-/// the receiver judges each probe like a real monitoring app would: the
-/// measurement error must fit inside the *claimed* error budget
-/// (sender unc + receiver unc + the pairwise network envelope). A fresh
+/// `OwdApp` — the page-consuming one-way-delay meter. Unlike `OwdMeter`
+/// (which reads arbitrary ClockFn clocks: PTP, free-running, DTP), probes
+/// here carry a full page sample — split timestamp, claimed uncertainty,
+/// staleness — and the receiver judges each probe like a real monitoring
+/// app would: the measurement error must fit inside the *claimed* error
+/// budget (sender unc + receiver unc + the pairwise network envelope). A fresh
 /// probe that busts the budget is a counted correctness failure; a probe
 /// stamped or judged on a stale page is a *detected* degradation instead.
 ///

@@ -11,7 +11,6 @@
 /// the monotone-max semantics of the paper fall out of `fast_forward`.
 
 #include <cstdint>
-#include <optional>
 #include <stdexcept>
 
 #include "common/wide_counter.hpp"
@@ -36,7 +35,7 @@ class TickCounter {
   WideCounter at_tick(std::int64_t k) const {
     if (k < base_tick_) throw std::logic_error("TickCounter: query before anchor");
     WideCounter v = base_.plus(static_cast<std::uint64_t>(k - base_tick_) * delta_);
-    if (cap_ && v.diff(*cap_) > 0) return *cap_;
+    if (capped_ && v.diff(cap_) > 0) return cap_;
     return v;
   }
 
@@ -72,20 +71,24 @@ class TickCounter {
   /// stall occasionally" rule for children with faster oscillators than
   /// their master. Comparison is by signed modular distance so the cap keeps
   /// working while counter and ceiling straddle the 2^106 wrap.
-  void set_cap(const WideCounter& cap) { cap_ = cap; }
-  void clear_cap() { cap_.reset(); }
+  void set_cap(const WideCounter& cap) {
+    cap_ = cap;
+    capped_ = true;
+  }
+  void clear_cap() { capped_ = false; }
   bool capped_at(std::int64_t k) const {
-    if (!cap_) return false;
+    if (!capped_) return false;
     const WideCounter raw =
         base_.plus(static_cast<std::uint64_t>(k - base_tick_) * delta_);
-    return raw.diff(*cap_) > 0;
+    return raw.diff(cap_) > 0;
   }
 
  private:
   WideCounter base_;
   std::uint32_t delta_;
   std::int64_t base_tick_;
-  std::optional<WideCounter> cap_;
+  WideCounter cap_;  ///< the ceiling; meaningful only while capped_
+  bool capped_ = false;
 };
 
 }  // namespace dtpsim::dtp

@@ -11,6 +11,11 @@
 /// frequency ratio from consecutive pairs and interpolates. Because the DTP
 /// counters already agree network-wide, hosts end up agreeing on UTC too,
 /// losing only the counter-read error on each side.
+///
+/// This is the daemon-level (software-path) variant. The paper's second
+/// variant — a timeserver hardware-stamping its syncs with its DTP counter —
+/// is the single-source time hierarchy: one `TimeSourceParams::gps` server
+/// feeding `HierarchyClient`s (dtp/hierarchy.hpp, DESIGN.md §13).
 
 #include <cstdint>
 #include <optional>
@@ -80,12 +85,9 @@ class UtcClient {
   fs_t age(fs_t now) const { return now - last_rx_at_; }
 
   /// True when the estimate should be treated as degraded: no ratio yet, or
-  /// the source went quiet — either past the explicit `set_staleness_after`
-  /// limit or past 3x the measured broadcast inter-arrival gap.
+  /// the source went quiet for more than 3x the measured broadcast
+  /// inter-arrival gap.
   bool stale(fs_t now) const;
-
-  /// Explicit staleness age limit; 0 (default) = use 3x the measured gap.
-  void set_staleness_after(fs_t limit) { staleness_after_ = limit; }
 
   /// Error series: (utc_at - true UTC) in nanoseconds, sampled at each
   /// received broadcast.
@@ -104,85 +106,7 @@ class UtcClient {
   bool have_last_ = false;
   fs_t last_rx_at_ = 0;      ///< sim time of the last received pair
   fs_t inter_arrival_ = 0;   ///< gap between the last two pairs
-  fs_t staleness_after_ = 0; ///< explicit limit; 0 = 3x measured gap
   std::uint64_t pairs_ = 0;
-  TimeSeries error_series_;
-};
-
-// ---------------------------------------------------------------------------
-// DTP-assisted external synchronization (the paper's second §5.2 variant:
-// "combine DTP and PTP ... a timeserver timestamps sync messages with DTP
-// counters, and delays between the timeserver and clients are measured
-// using DTP counters").
-
-/// A sync message stamped with the server's hardware DTP counter at the
-/// instant the frame left the wire.
-struct HybridSyncPacket : net::Packet {
-  double tx_dtp_counter = 0.0;  ///< server gc at hardware TX (filled at TX)
-  fs_t utc_at_tx = 0;           ///< server UTC at the same instant
-};
-
-inline constexpr std::uint16_t kEtherTypeHybridUtc = 0x88B9;
-
-/// Timeserver: multicasts sync messages whose DTP counter and UTC are both
-/// captured at the hardware transmit instant, so the pair is exact.
-class HybridUtcServer {
- public:
-  /// \param agent  the server's DTP agent (counter source)
-  /// \param utc_error_ns  absolute error of the server's UTC source
-  HybridUtcServer(sim::Simulator& sim, net::Host& host, Agent& agent, fs_t period,
-                  double utc_error_ns = 0.0);
-
-  void start() { proc_.start(); }
-  void stop() { proc_.stop(); }
-  std::uint64_t broadcasts() const { return count_; }
-
- private:
-  void fire();
-
-  sim::Simulator& sim_;
-  net::Host& host_;
-  Agent& agent_;
-  double utc_error_ns_;
-  Rng rng_;
-  std::uint64_t count_ = 0;
-  sim::PeriodicProcess proc_;
-};
-
-/// Client: on hardware receive, the one-way delay is measured *exactly* in
-/// DTP counter units (rx counter - tx counter, both hardware-stamped on
-/// synchronized counters), so UTC lands within the DTP bound plus the
-/// server's own UTC error — no rate estimation, no daemon in the loop.
-class HybridUtcClient {
- public:
-  HybridUtcClient(net::Host& host, Agent& agent);
-
-  bool ready() const { return have_fix_; }
-  /// Estimated UTC at `now` in femtoseconds. Requires ready(). Like
-  /// UtcClient::utc_at this extrapolates forever once the server goes
-  /// quiet — check `stale()` and treat stale reads as degraded.
-  double utc_at(fs_t now) const;
-  /// Time since the last received sync.
-  fs_t age(fs_t now) const { return now - last_rx_at_; }
-  /// Degraded-estimate signal; same rule as UtcClient::stale.
-  bool stale(fs_t now) const;
-  void set_staleness_after(fs_t limit) { staleness_after_ = limit; }
-  /// Error series (estimate - true UTC, ns), sampled at each sync.
-  const TimeSeries& error_series() const { return error_series_; }
-  std::uint64_t syncs_received() const { return syncs_; }
-
- private:
-  void handle(const net::Frame& f, fs_t hw_rx_time);
-
-  net::Host& host_;
-  Agent& agent_;
-  bool have_fix_ = false;
-  double fix_counter_ = 0.0;  ///< our gc at the last fix
-  fs_t fix_utc_ = 0;          ///< UTC at that instant
-  fs_t last_rx_at_ = 0;       ///< sim time of the last received sync
-  fs_t inter_arrival_ = 0;    ///< gap between the last two syncs
-  fs_t staleness_after_ = 0;  ///< explicit limit; 0 = 3x measured gap
-  std::uint64_t syncs_ = 0;
   TimeSeries error_series_;
 };
 

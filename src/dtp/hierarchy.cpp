@@ -71,8 +71,9 @@ UtcSourceServer::UtcSourceServer(sim::Simulator& sim, net::Host& host, Agent& ag
                         (static_cast<std::uint64_t>(params.source_id) << 32))),
       proc_(sim, params.period, [this] { fire(); }, sim::EventCategory::kBeacon) {
   // One-step clock: counter and UTC are both captured at the hardware
-  // transmit instant (same pattern as HybridUtcServer). The lie, if any, is
-  // applied here too — a rogue grandmaster's packets are perfectly formed.
+  // transmit instant, like a PTP one-step clock but with the DTP counter.
+  // The lie, if any, is applied here too — a rogue grandmaster's packets are
+  // perfectly formed.
   auto prev_tx = host_.nic().on_transmit;
   host_.nic().on_transmit = [this, prev_tx](net::Frame& f, fs_t tx_start) {
     if (f.ethertype == kEtherTypeSourceSync) {

@@ -5,10 +5,11 @@
 /// and holdover (DESIGN.md §13).
 ///
 /// §5.2 of the paper maps the internal DTP counter to UTC through *one*
-/// healthy timeserver. Real deployments have several candidate roots — GPS
-/// receivers, upstream DTP islands bridged over PTP/NTP segments, SyncE
-/// frequency references — and any of them can die, lie, or partition away.
-/// This module models that layer:
+/// healthy timeserver; a single `TimeSourceParams::gps` server is exactly
+/// its hardware-stamped DTP+PTP variant. Real deployments have several
+/// candidate roots — GPS receivers, upstream DTP islands bridged over
+/// PTP/NTP segments, SyncE frequency references — and any of them can die,
+/// lie, or partition away. This module models that layer:
 ///
 ///   * `UtcSourceServer` — a timeserver broadcasting hardware-stamped
 ///     (DTP counter, UTC) syncs that *advertise* a stratum and a claimed
@@ -62,8 +63,9 @@ const char* source_kind_name(SourceKind k);
 /// EtherType for hierarchy source syncs.
 inline constexpr std::uint16_t kEtherTypeSourceSync = 0x88BA;
 
-/// A hardware-stamped sync, like `HybridSyncPacket` plus the source's
-/// advertisement (id, kind, stratum, claimed accuracy).
+/// A sync stamped at the server's hardware transmit instant with its DTP
+/// counter and UTC, plus the source's advertisement (id, kind, stratum,
+/// claimed accuracy).
 struct SourceSyncPacket : net::Packet {
   std::uint32_t source_id = 0;
   SourceKind source_kind = SourceKind::kUtc;

@@ -127,8 +127,12 @@ TEST(PtpWire, AllTypesRoundTrip) {
     EXPECT_EQ(p->msg.type, type);
     EXPECT_EQ(p->msg.sequence, m.sequence);
     EXPECT_NEAR(p->msg.timestamp_ns, m.timestamp_ns, 1.0);
-    if (type == ptp::PtpType::kDelayResp) EXPECT_EQ(p->msg.requester, m.requester);
-    if (type == ptp::PtpType::kAnnounce) EXPECT_EQ(p->msg.priority, m.priority);
+    if (type == ptp::PtpType::kDelayResp) {
+      EXPECT_EQ(p->msg.requester, m.requester);
+    }
+    if (type == ptp::PtpType::kAnnounce) {
+      EXPECT_EQ(p->msg.priority, m.priority);
+    }
   }
 }
 

@@ -14,7 +14,8 @@
 /// Prints a synchronization report: per-device clock state, worst pairwise
 /// offsets over the run, protocol message counts, and (for DTP) the 4TD
 /// bound verdict. With --chaos, runs a fault-injection plan on the paper's
-/// Fig. 5 tree under MTU-saturated load and prints the recovery report.
+/// Fig. 5 tree under MTU-saturated load and the invariant sentinel, and
+/// prints the recovery report and the sentinel's line.
 /// With --stress, runs N randomized invariant-checked campaigns from --seed
 /// and writes a shrunken repro file per failure; with --repro, replays one
 /// repro file deterministically and exits with the sentinel verdict.
@@ -48,6 +49,7 @@
 #include "sim/simulator.hpp"
 #include "stress/runner.hpp"
 #include "stress/shrink.hpp"
+#include "stress/spec.hpp"
 #include "ptp/transparent.hpp"
 
 namespace {
@@ -460,6 +462,19 @@ BuiltTopology build_topology(net::Network& net, const Options& o) {
   return t;
 }
 
+/// Prints the sentinel's summary line and every stored violation; returns
+/// whether the run stayed clean.
+bool report_sentinel(const check::Sentinel& sentinel) {
+  const check::SentinelStats st = sentinel.stats();
+  std::printf("sentinel: %llu samples, %llu offset checks, %llu violation(s)\n",
+              static_cast<unsigned long long>(st.samples),
+              static_cast<unsigned long long>(st.offset_checks),
+              static_cast<unsigned long long>(sentinel.violation_count()));
+  for (const auto& v : sentinel.violations())
+    std::printf("  !! %s\n", v.to_string().c_str());
+  return sentinel.clean();
+}
+
 /// --chaos=source: the canonical source-level campaign (DESIGN.md §13).
 /// A stratum-1 GPS source and a stratum-2 upstream-island source feed
 /// hierarchy clients on the Fig. 5 tree; the plan kills the GPS, makes it
@@ -506,13 +521,12 @@ int run_source_chaos(const Options& o) {
 
   const chaos::CampaignReport& report = engine.report();
   report.print(std::cout);
-  for (const auto& v : sentinel.violations())
-    std::printf("  !! %s\n", v.to_string().c_str());
+  const bool clean = report_sentinel(sentinel);
   if (!engine.all_probes_done()) {
     std::printf("verdict: FAIL (a probe never reported)\n");
     return 1;
   }
-  bool ok = sentinel.clean() && sentinel.stats().utc_checks > 0;
+  bool ok = clean && sentinel.stats().utc_checks > 0;
   for (const auto& [cls, s] : report.by_class()) {
     ok &= s.converged == s.n;
     if (cls == "rogue_grandmaster") ok &= s.isolated;
@@ -584,13 +598,12 @@ int run_gray_chaos(const Options& o) {
   for (const auto& v : watchdog.verdicts())
     std::printf("  verdict %s:%zu at %.1f us: %s\n", v.device.c_str(), v.port,
                 to_ns_f(v.at) / 1000.0, v.reason.c_str());
-  for (const auto& v : sentinel.violations())
-    std::printf("  !! %s\n", v.to_string().c_str());
+  const bool clean = report_sentinel(sentinel);
   if (!engine.all_probes_done()) {
     std::printf("verdict: FAIL (a probe never reported)\n");
     return 1;
   }
-  bool ok = sentinel.clean() && sentinel.stats().watchdog_checks > 0;
+  bool ok = clean && sentinel.stats().watchdog_checks > 0;
   // Every gray fault injects on a distinct link, and remediation means its
   // victim port walked the ladder: all four must have quarantined, and none
   // may have escalated all the way to a disable.
@@ -601,8 +614,10 @@ int run_gray_chaos(const Options& o) {
 }
 
 /// --chaos: a fault-injection plan on the Fig. 5 tree under saturating MTU
-/// load, with the canonical campaign's DTP/chaos parameters. Returns 0 when
-/// every probe reported and recovery matched the class's contract.
+/// load, with the canonical campaign's DTP/chaos parameters, under the
+/// sentinel with one blackout window per fault (the window
+/// `stress::run_campaign` grants). Returns 0 when every probe reported,
+/// recovery matched the class's contract, and the sentinel stayed clean.
 int run_chaos(const Options& o) {
   if (o.chaos == "source") return run_source_chaos(o);
   if (o.chaos == "gray") return run_gray_chaos(o);
@@ -642,6 +657,11 @@ int run_chaos(const Options& o) {
                                                 from_ms(2)));
     until = t0 + from_ms(12);
   }
+  check::Sentinel sentinel(net, dtp);
+  for (const chaos::FaultSpec& f : plan.faults)
+    sentinel.add_blackout(f.at - 2 * sentinel.params().sample_period,
+                          stress::fault_end(chaos::describe(f)) +
+                              stress::recovery_margin(f.kind));
   std::printf("chaos plan=%s on the Fig. 5 tree, MTU-saturated, seed=%llu\n",
               o.chaos.c_str(), static_cast<unsigned long long>(o.seed));
   if (session) session->start(until);
@@ -652,11 +672,12 @@ int run_chaos(const Options& o) {
 
   const chaos::CampaignReport& report = engine.report();
   report.print(std::cout);
+  const bool clean = report_sentinel(sentinel);
   if (!engine.all_probes_done()) {
     std::printf("verdict: FAIL (a probe never reported)\n");
     return 1;
   }
-  bool ok = true;
+  bool ok = clean;
   for (const auto& [cls, s] : report.by_class()) {
     if (cls == "rogue_oscillator")
       ok &= s.isolated && s.converged == s.n;
