@@ -9,17 +9,16 @@
 /// beacon intervals. The acceptance story: every class except the rogue
 /// oscillator reconverges within two beacon intervals; the rogue must be
 /// quarantined by its neighbor's jump detector, and after collateral
-/// remediation the healthy remainder reconverges.
+/// remediation the healthy remainder reconverges, with the invariant
+/// sentinel clean; its RunDigest goes into the JSON.
 
 #include <cstdio>
 #include <iostream>
 
 #include "bench_util.hpp"
 #include "chaos/campaign.hpp"
-#include "chaos/engine.hpp"
 #include "dtp/daemon.hpp"
-#include "net/frame.hpp"
-#include "net/topology.hpp"
+#include "stress/runner.hpp"
 
 using namespace dtpsim;
 using namespace dtpsim::benchutil;
@@ -30,39 +29,35 @@ int main(int argc, char** argv) {
 
   banner("Fault recovery  canonical chaos campaign (Fig. 5 tree, MTU load)");
 
-  sim::Simulator sim(seed);
-  net::Network net(sim, chaos::CanonicalCampaign::net_params());
-  auto tree = net::build_paper_tree(net);
-  auto dtp = dtp::enable_dtp(net, chaos::CanonicalCampaign::dtp_params());
-  chaos::CanonicalCampaign::start_heavy_load(net, tree, net::kMtuFrameBytes);
+  stress::Campaign campaign(stress::named_spec("canonical", seed));
+  const net::PaperTreeTopology& tree = campaign.paper_tree();
+  chaos::ChaosEngine& engine = campaign.engine();
 
   // A software clock on an unfaulted leaf, so the PCIe storm exercises the
   // daemon's RTT rejection without another fault class in the blast radius.
+  // (A daemon is host software, so the spec cannot carry the storm.)
   dtp::DaemonParams dp;
   dp.poll_period = from_us(50);  // sim-friendly cadence; ratios unchanged
   dp.sample_period = 0;
-  dtp::Daemon daemon(sim, *dtp.agent_of(tree.leaves[2]), dp, 25.0);
+  dtp::Daemon daemon(campaign.sim(), *campaign.dtp().agent_of(tree.leaves[2]), dp, 25.0);
   daemon.start();
+  chaos::FaultPlan storm;
+  storm.add(chaos::FaultSpec::pcie_storm(daemon, campaign.spec().settle + from_ms(11),
+                                         from_ms(2), from_ns(400), 0.3, from_us(2), 24.0));
+  engine.schedule(storm);
 
-  chaos::ChaosEngine engine(net, dtp, chaos::CanonicalCampaign::chaos_params());
-  const fs_t t0 = chaos::CanonicalCampaign::settle_time();
-  chaos::FaultPlan plan = chaos::CanonicalCampaign::plan(tree, t0);
-  plan.add(chaos::FaultSpec::pcie_storm(daemon, t0 + from_ms(11), from_ms(2),
-                                        from_ns(400), 0.3, from_us(2), 24.0));
-  engine.schedule(plan);
-
-  sim.run_until(chaos::CanonicalCampaign::end_time(t0));
+  const stress::CampaignResult result = campaign.run();
 
   const chaos::CampaignReport& report = engine.report();
   report.print(std::cout);
-  print_sim_stats(sim);
+  print_sim_stats(campaign.sim());
 
   BenchJson json;
   json.add("seed", static_cast<std::uint64_t>(seed));
   json.add("beacon_interval_ticks",
            static_cast<std::uint64_t>(
                chaos::CanonicalCampaign::dtp_params().beacon_interval_ticks));
-  bool pass = check("every probe reported", engine.all_probes_done());
+  bool pass = benchutil::check("every probe reported", engine.all_probes_done());
   const chaos::ClassSummary rogue = report.summary("rogue_oscillator");
   for (const auto& [cls, s] : report.by_class()) {
     json.add(cls + "_n", static_cast<std::uint64_t>(s.n));
@@ -70,20 +65,23 @@ int main(int argc, char** argv) {
     json.add(cls + "_p50_bi", s.p50_bi);
     json.add(cls + "_p99_bi", s.p99_bi);
     if (cls == "rogue_oscillator") continue;  // judged by isolation below
-    pass &= check((cls + ": converged").c_str(), s.converged == s.n && s.n == 1);
+    pass &= benchutil::check((cls + ": converged").c_str(), s.converged == s.n && s.n == 1);
     if (cls != "pcie_storm") {
       // The two-beacon-interval recovery bound holds for every network-layer
       // fault class; the daemon's re-anchor cadence is poll-period-bound and
       // judged only on convergence.
-      pass &= check((cls + ": p99 <= 2 beacon intervals").c_str(), s.p99_bi <= 2.0);
-      pass &= check((cls + ": stall ceiling held").c_str(), s.stall_ok);
+      pass &= benchutil::check((cls + ": p99 <= 2 beacon intervals").c_str(), s.p99_bi <= 2.0);
+      pass &= benchutil::check((cls + ": stall ceiling held").c_str(), s.stall_ok);
     }
   }
   json.add_raw("rows", report.rows_json());
   json.add("rogue_isolated", rogue.isolated);
-  pass &= check("rogue oscillator quarantined by its neighbor", rogue.isolated);
-  pass &= check("healthy remainder reconverged after remediation",
-                rogue.converged == 1);
+  pass &= benchutil::check("rogue oscillator quarantined by its neighbor", rogue.isolated);
+  pass &= benchutil::check("healthy remainder reconverged after remediation",
+                           rogue.converged == 1);
+  for (const auto& v : result.violations) std::printf("  !! %s\n", v.to_string().c_str());
+  pass &= benchutil::check("sentinel clean", result.clean());
+  json.add("digest", result.digest.hex());
 
   json.add("pass", pass);
   const std::string out = json_out_path(flags, "fault_recovery");

@@ -19,79 +19,44 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "chaos/campaign.hpp"
-#include "chaos/engine.hpp"
-#include "check/sentinel.hpp"
-#include "dtp/watchdog.hpp"
-#include "net/frame.hpp"
-#include "net/topology.hpp"
+#include "stress/runner.hpp"
 
 using namespace dtpsim;
 using namespace dtpsim::benchutil;
 
-namespace {
-
-struct GrayRun {
-  sim::Simulator sim;
-  net::Network net;
-  net::PaperTreeTopology tree;
-  dtp::DtpNetwork dtp;
-  dtp::HealthWatchdog watchdog;
-  check::Sentinel sentinel;
-  chaos::ChaosEngine engine;
-
-  GrayRun(std::uint64_t seed, const dtp::WatchdogParams& wp)
-      : sim(seed),
-        net(sim, chaos::GrayCampaign::net_params()),
-        tree(net::build_paper_tree(net)),
-        dtp(dtp::enable_dtp(net, chaos::GrayCampaign::dtp_params())),
-        watchdog(net, dtp, wp, seed),
-        sentinel(net, dtp),
-        engine(net, dtp, chaos::GrayCampaign::chaos_params()) {
-    chaos::CanonicalCampaign::start_heavy_load(net, tree, net::kMtuFrameBytes);
-    sentinel.set_watchdog(&watchdog);
-  }
-};
-
-}  // namespace
-
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 4242));
-  dtp::WatchdogParams wp = chaos::GrayCampaign::watchdog_params();
-  wp.check_period = flags.get_duration("wd-check-period", wp.check_period);
-  wp.reinit_backoff = flags.get_duration("wd-backoff", wp.reinit_backoff);
+  stress::StressSpec spec = stress::named_spec("gray", seed);
+  spec.wd_check_period = flags.get_duration("wd-check-period", 0);  // 0 = campaign default
+  spec.wd_backoff = flags.get_duration("wd-backoff", 0);
   const fs_t detection_p99_ceiling =
       flags.get_duration("detection-ceiling", from_ms(1));
 
   banner("Gray-failure recovery  watchdog escalation (Fig. 5 tree, MTU load)");
 
-  const fs_t t0 = chaos::GrayCampaign::settle_time();
-  const fs_t until = chaos::GrayCampaign::end_time(t0);
-
   // ---- Control run: same network, same load, no faults -------------------
   std::uint64_t control_suspects = 0;
   bool control_clean = false;
   {
-    GrayRun control(seed, wp);
-    control.sim.run_until(until);
-    control_suspects = control.watchdog.total_suspects();
-    control_clean = control.sentinel.clean();
+    stress::StressSpec quiet = spec;
+    quiet.faults.clear();  // and with them every blackout window
+    stress::Campaign control(quiet);
+    control_clean = control.run().clean();
+    control_suspects = control.watchdog()->total_suspects();
     std::printf("  control: suspects=%llu quarantines=%llu sentinel=%s\n",
                 static_cast<unsigned long long>(control_suspects),
-                static_cast<unsigned long long>(control.watchdog.total_quarantines()),
+                static_cast<unsigned long long>(control.watchdog()->total_quarantines()),
                 control_clean ? "clean" : "VIOLATED");
   }
 
   // ---- Fault run: one instance of every gray class ------------------------
-  GrayRun run(seed, wp);
-  for (const auto& [from, bo_until] : chaos::GrayCampaign::blackouts(t0))
-    run.sentinel.add_blackout(from, bo_until);
-  const chaos::FaultPlan plan = chaos::GrayCampaign::plan(run.tree, t0);
-  run.engine.schedule(plan);
-  run.sim.run_until(until);
+  stress::Campaign run(spec);
+  const stress::CampaignResult result = run.run();
+  const dtp::HealthWatchdog& watchdog = *run.watchdog();
+  const dtp::WatchdogParams& wp = watchdog.params();
 
-  const chaos::CampaignReport& report = run.engine.report();
+  const chaos::CampaignReport& report = run.engine().report();
   report.print(std::cout);
 
   // Fault windows (the plan's schedule is non-overlapping): a suspicion is
@@ -103,14 +68,14 @@ int main(int argc, char** argv) {
     bool detected = false;
   };
   std::vector<Window> windows;
-  for (const auto& f : plan.faults)
+  for (const auto& f : spec.faults)
     windows.push_back({f.kind, f.at, f.at + f.duration + from_ms(3)});
 
   SampleSeries detection_us;
   int max_attempts = 0;
   std::uint64_t remediated = 0, stray_suspects = 0, unhealthy_at_end = 0;
-  for (std::size_t i = 0; i < run.watchdog.watch_count(); ++i) {
-    const dtp::WatchdogPortStats& ws = run.watchdog.watch_stats(i);
+  for (std::size_t i = 0; i < watchdog.watch_count(); ++i) {
+    const dtp::WatchdogPortStats& ws = watchdog.watch_stats(i);
     if (ws.suspects == 0) continue;
     Window* w = nullptr;
     for (auto& cand : windows)
@@ -119,7 +84,7 @@ int main(int argc, char** argv) {
     if (w == nullptr) {
       ++stray_suspects;
       std::printf("  STRAY suspicion on %s at %.1f us\n",
-                  run.watchdog.watch_label(i).c_str(),
+                  watchdog.watch_label(i).c_str(),
                   to_ns_f(ws.first_suspected_at) / 1000.0);
       continue;
     }
@@ -128,18 +93,17 @@ int main(int argc, char** argv) {
     max_attempts = std::max(max_attempts, ws.attempts);
     const double latency_us = to_ns_f(ws.first_suspected_at - w->from) / 1000.0;
     detection_us.add(latency_us);
-    const dtp::PortHealth health = run.watchdog.watch_health(i);
+    const dtp::PortHealth health = watchdog.watch_health(i);
     if (health != dtp::PortHealth::kHealthy) ++unhealthy_at_end;
     std::printf("  %s [%s]: %s detect=%.1f us quarantines=%llu reinits=%llu "
                 "attempts=%d\n",
-                run.watchdog.watch_label(i).c_str(),
+                watchdog.watch_label(i).c_str(),
                 chaos::fault_class_name(w->kind), dtp::to_string(health),
                 latency_us, static_cast<unsigned long long>(ws.quarantines),
                 static_cast<unsigned long long>(ws.reinits), ws.attempts);
   }
-  for (const auto& v : run.sentinel.violations())
-    std::printf("  !! %s\n", v.to_string().c_str());
-  print_sim_stats(run.sim);
+  for (const auto& v : result.violations) std::printf("  !! %s\n", v.to_string().c_str());
+  print_sim_stats(run.sim());
 
   const double p50 = detection_us.empty() ? 0.0 : detection_us.percentile(0.50);
   const double p99 = detection_us.empty() ? 0.0 : detection_us.percentile(0.99);
@@ -148,7 +112,7 @@ int main(int argc, char** argv) {
 
   bool pass = benchutil::check("control run: zero false suspicions", control_suspects == 0);
   pass &= benchutil::check("control run: sentinel clean", control_clean);
-  pass &= benchutil::check("every probe reported", run.engine.all_probes_done());
+  pass &= benchutil::check("every probe reported", run.engine().all_probes_done());
   std::uint64_t converged = 0, rows = 0;
   for (const auto& [cls, s] : report.by_class()) {
     converged += s.converged;
@@ -165,10 +129,10 @@ int main(int argc, char** argv) {
   pass &= benchutil::check(gate, p99 <= to_ns_f(detection_p99_ceiling) / 1000.0);
   pass &= benchutil::check("attempts stayed under the escalation ceiling",
                 max_attempts <= wp.max_reinit_attempts);
-  pass &= benchutil::check("no port disabled", run.watchdog.total_disables() == 0);
+  pass &= benchutil::check("no port disabled", watchdog.total_disables() == 0);
   pass &= benchutil::check("every victim port HEALTHY at end", unhealthy_at_end == 0);
   pass &= benchutil::check("sentinel clean (watchdog invariants armed)",
-                run.sentinel.clean() && run.sentinel.stats().watchdog_checks > 0);
+                result.clean() && result.sentinel_stats.watchdog_checks > 0);
 
   BenchJson json;
   json.add("seed", static_cast<std::uint64_t>(seed));
@@ -180,11 +144,11 @@ int main(int argc, char** argv) {
   json.add("detection_p50_us", p50);
   json.add("detection_p99_us", p99);
   json.add("max_attempts", static_cast<std::uint64_t>(max_attempts));
-  json.add("total_suspects", run.watchdog.total_suspects());
-  json.add("total_quarantines", run.watchdog.total_quarantines());
-  json.add("total_reinits", run.watchdog.total_reinits());
-  json.add("total_disables", run.watchdog.total_disables());
-  json.add("digest", run.sentinel.digest().hex());
+  json.add("total_suspects", watchdog.total_suspects());
+  json.add("total_quarantines", watchdog.total_quarantines());
+  json.add("total_reinits", watchdog.total_reinits());
+  json.add("total_disables", watchdog.total_disables());
+  json.add("digest", result.digest.hex());
   json.add_raw("rows", report.rows_json());
   json.add("pass", pass);
   json.write(json_out_path(flags, "gray_recovery"));

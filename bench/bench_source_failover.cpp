@@ -25,10 +25,7 @@
 
 #include "bench_util.hpp"
 #include "chaos/campaign.hpp"
-#include "chaos/engine.hpp"
-#include "check/sentinel.hpp"
-#include "dtp/hierarchy.hpp"
-#include "net/topology.hpp"
+#include "stress/runner.hpp"
 
 using namespace dtpsim;
 using namespace dtpsim::benchutil;
@@ -39,24 +36,9 @@ int main(int argc, char** argv) {
 
   banner("Source failover  canonical source-level campaign (Fig. 5 tree)");
 
-  sim::Simulator sim(seed);
-  net::Network net(sim, chaos::SourceCampaign::net_params());
-  auto tree = net::build_paper_tree(net);
-  auto dtp = dtp::enable_dtp(net, chaos::SourceCampaign::dtp_params());
-
-  dtp::TimeHierarchy hierarchy;
-  chaos::SourceCampaign::build_hierarchy(hierarchy, net, dtp, tree);
-  hierarchy.start();
-
-  check::Sentinel sentinel(net, dtp);
-  sentinel.set_hierarchy(&hierarchy);
-
-  chaos::ChaosEngine engine(net, dtp, chaos::SourceCampaign::chaos_params());
-  engine.set_hierarchy(&hierarchy);
-  const fs_t t0 = chaos::SourceCampaign::settle_time();
-  engine.schedule(chaos::SourceCampaign::plan(tree, t0));
-  const auto [bo_from, bo_until] = chaos::SourceCampaign::island_blackout(t0);
-  sentinel.add_blackout(bo_from, bo_until);
+  stress::Campaign campaign(stress::named_spec("source", seed));
+  sim::Simulator& sim = campaign.sim();
+  const dtp::TimeHierarchy& hierarchy = campaign.hierarchy();
 
   // Holdover telemetry: worst true drift and worst reported uncertainty of
   // any client while free-running, plus an honesty flag sampled at the same
@@ -79,9 +61,9 @@ int main(int argc, char** argv) {
       sim::EventCategory::kProbe);
   holdover_probe.start();
 
-  sim.run_until(chaos::SourceCampaign::end_time(t0));
+  const stress::CampaignResult result = campaign.run();
 
-  const chaos::CampaignReport& report = engine.report();
+  const chaos::CampaignReport& report = campaign.engine().report();
   report.print(std::cout);
   std::printf("  holdover: worst drift %.1f ns, worst uncertainty %.1f ns "
               "(ceiling %.1f ns)\n",
@@ -97,7 +79,7 @@ int main(int argc, char** argv) {
            static_cast<double>(chaos::SourceCampaign::source_period()) * 1e-9);
   json.add("threshold_ticks", chaos::SourceCampaign::threshold_ticks());
 
-  bool pass = benchutil::check("every probe reported", engine.all_probes_done());
+  bool pass = benchutil::check("every probe reported", campaign.engine().all_probes_done());
   for (const auto& [cls, s] : report.by_class()) {
     json.add(cls + "_n", static_cast<std::uint64_t>(s.n));
     json.add(cls + "_converged", static_cast<std::uint64_t>(s.converged));
@@ -127,15 +109,13 @@ int main(int argc, char** argv) {
                 max_uncertainty_fs <= static_cast<double>(
                     chaos::SourceCampaign::hierarchy_params().holdover_ceiling));
 
-  const auto stats = sentinel.stats();
-  json.add("utc_checks", stats.utc_checks);
-  json.add("violations", sentinel.violation_count());
-  pass &= benchutil::check("sentinel UTC monitors ran", stats.utc_checks > 0);
-  if (!sentinel.clean())
-    for (const auto& v : sentinel.violations())
-      std::cout << "  !! " << v.to_string() << "\n";
+  json.add("utc_checks", result.sentinel_stats.utc_checks);
+  json.add("violations", campaign.sentinel().violation_count());
+  json.add("digest", result.digest.hex());
+  pass &= benchutil::check("sentinel UTC monitors ran", result.sentinel_stats.utc_checks > 0);
+  for (const auto& v : result.violations) std::cout << "  !! " << v.to_string() << "\n";
   pass &= benchutil::check("sentinel clean (no backward step, honest uncertainty)",
-                sentinel.clean());
+                result.clean());
 
   json.add("pass", pass);
   const std::string out = json_out_path(flags, "source_failover");

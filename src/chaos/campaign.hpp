@@ -1,9 +1,13 @@
 #pragma once
 
 /// \file campaign.hpp
-/// The canonical chaos campaign: the fixed fault schedule that
-/// `bench_fault_recovery`, the campaign test, and `dtpsim --chaos=canonical`
-/// all run, on the paper's Fig. 5 tree under MTU-saturated load.
+/// The named chaos campaigns on the paper's Fig. 5 tree. `stress::named_spec`
+/// turns each into a preset spec that `stress::Campaign` runs for the CLI,
+/// the benches and the tests; perfbench still wires them up by hand.
+///
+/// The canonical campaign: the fixed fault schedule that
+/// `bench_fault_recovery` and `dtpsim --chaos=canonical` run under
+/// MTU-saturated load.
 ///
 /// One instance of every fault class, spaced so detector windows do not
 /// overlap:
@@ -75,8 +79,8 @@ struct CanonicalCampaign {
 };
 
 /// The canonical *source-level* campaign: one instance of every hierarchy
-/// fault class on the Fig. 5 tree, run by `bench_source_failover`, the
-/// campaign test, and `dtpsim --chaos=source`.
+/// fault class on the Fig. 5 tree, run by `bench_source_failover` (plus a
+/// holdover probe) and `dtpsim --chaos=source`.
 ///
 /// The hierarchy: a stratum-1 GPS source on the first leaf under S1, a
 /// stratum-2 upstream-island source on the first leaf under S2, and a
@@ -135,8 +139,8 @@ struct SourceCampaign {
 
 /// The canonical *gray-failure* campaign: one instance of each gray fault
 /// kind on the Fig. 5 tree under MTU-saturated load, paired with a
-/// `dtp::HealthWatchdog`. Run by `bench_gray_recovery`, the campaign test,
-/// and `dtpsim --chaos=gray`.
+/// `dtp::HealthWatchdog`. Run by `bench_gray_recovery` (plus a fault-free
+/// control run) and `dtpsim --chaos=gray`.
 ///
 ///   t0+0      asymmetric_delay  root -> S1 gains 52 ns (~8 ticks) one-way
 ///                               for 3 ms; S1's uplink sees every beacon

@@ -1,32 +1,31 @@
 #include "stress/runner.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
-#include "chaos/engine.hpp"
+#include "chaos/campaign.hpp"
 #include "chaos/serialize.hpp"
-#include "dtp/hierarchy.hpp"
-#include "dtp/network.hpp"
-#include "dtp/watchdog.hpp"
-#include "net/topology.hpp"
-#include "obs/session.hpp"
-#include "sim/simulator.hpp"
+#include "net/frame.hpp"
 
 namespace dtpsim::stress {
 
 namespace {
 
 /// Build the spec's topology into `net` and return the hosts that can
-/// source/sink traffic (switch-only shapes return empty).
-std::vector<net::Host*> build_topology(net::Network& net, const StressSpec& s) {
+/// source/sink traffic (switch-only shapes return empty). The Fig. 5 tree
+/// is also kept whole in `tree`.
+std::vector<net::Host*> build_topology(net::Network& net, const StressSpec& s,
+                                       net::PaperTreeTopology& tree) {
   switch (s.topo) {
     case TopoKind::kChain: {
       auto topo = net::build_chain(net, s.chain_switches);
       return {topo.left, topo.right};
     }
     case TopoKind::kPaperTree:
-      return net::build_paper_tree(net).leaves;
+      tree = net::build_paper_tree(net);
+      return tree.leaves;
     case TopoKind::kRandomTree:
       return net::build_random_tree(net, s.shape_seed, s.tree_switches, s.tree_hosts).hosts;
     case TopoKind::kFatTree:
@@ -56,119 +55,155 @@ void start_traffic(net::Network& net, const std::vector<net::Host*>& hosts,
 
 }  // namespace
 
-CampaignResult run_campaign(const StressSpec& spec) { return run_campaign(spec, nullptr); }
-
-CampaignResult run_campaign(const StressSpec& spec, const ObsOptions* obs) {
-  sim::Simulator sim(spec.sim_seed);
-  if (spec.bridged) sim.set_engine(sim::Simulator::EngineMode::kBridged);
-
-  net::NetworkParams np;
-  np.ppm_spread = spec.ppm_spread;
-  np.enable_drift = spec.enable_drift;
-  if (spec.enable_drift) {
-    np.drift.step_ppm = 0.01;
-    np.drift.update_interval = from_ms(10);
+std::vector<std::pair<fs_t, fs_t>> blackout_windows(const StressSpec& spec) {
+  std::vector<std::pair<fs_t, fs_t>> windows;
+  if (spec.preset == Preset::kGray || spec.preset == Preset::kSource) {
+    const auto campaign = spec.preset == Preset::kGray
+                              ? chaos::GrayCampaign::blackouts(spec.settle)
+                              : std::vector{chaos::SourceCampaign::island_blackout(spec.settle)};
+    for (const auto& w : campaign)
+      if (std::any_of(spec.faults.begin(), spec.faults.end(),
+                      [&w](const auto& f) { return f.at >= w.first && f.at < w.second; }))
+        windows.push_back(w);
+    return windows;
   }
-  np.cable.propagation_delay = spec.propagation_delay;
-  // INIT's delay measurement must not queue behind an in-flight data frame
-  // right after a replug (see MacParams::data_holdoff).
-  np.mac.data_holdoff = from_us(20);
+  const fs_t sample =
+      spec.sample_period > 0 ? spec.sample_period : check::SentinelParams{}.sample_period;
+  for (const auto& f : spec.faults)
+    windows.emplace_back(f.at - 2 * sample, fault_end(f) + recovery_margin(f.kind));
+  return windows;
+}
 
-  net::Network net(sim, np);
-  const std::vector<net::Host*> hosts = build_topology(net, spec);
+Campaign::Campaign(const StressSpec& spec, const obs::SessionConfig* obs)
+    : spec_(spec), sim_(spec.sim_seed) {
+  check_preset(spec);
+  if (spec.bridged) sim_.set_engine(sim::Simulator::EngineMode::kBridged);
+  net::NetworkParams np;
+  chaos::ChaosParams cp;
+  switch (spec.preset) {
+    case Preset::kNone:
+      np.ppm_spread = spec.ppm_spread;
+      np.enable_drift = spec.enable_drift;
+      if (spec.enable_drift) {
+        np.drift.step_ppm = 0.01;
+        np.drift.update_interval = from_ms(10);
+      }
+      np.cable.propagation_delay = spec.propagation_delay;
+      // INIT's delay measurement must not queue behind an in-flight data
+      // frame right after a replug (see MacParams::data_holdoff).
+      np.mac.data_holdoff = from_us(20);
+      cp.dtp.beacon_interval_ticks = spec.beacon_interval_ticks;
+      break;
+    case Preset::kCanonical:
+      np = chaos::CanonicalCampaign::net_params();
+      cp = chaos::CanonicalCampaign::chaos_params();
+      break;
+    case Preset::kGray:
+      np = chaos::GrayCampaign::net_params();
+      cp = chaos::GrayCampaign::chaos_params();
+      break;
+    case Preset::kSource:
+      np = chaos::SourceCampaign::net_params();
+      cp = chaos::SourceCampaign::chaos_params();
+      break;
+  }
+  net_ = std::make_unique<net::Network>(sim_, np);
+  const std::vector<net::Host*> hosts = build_topology(*net_, spec, tree_);
+  dtp_ = dtp::enable_dtp(*net_, cp.dtp);
 
-  dtp::DtpParams dp;
-  dp.beacon_interval_ticks = spec.beacon_interval_ticks;
-  dtp::DtpNetwork dtp = dtp::enable_dtp(net, dp);
+  if (spec.preset == Preset::kNone)
+    start_traffic(*net_, hosts, spec);
+  else if (spec.preset != Preset::kSource)
+    chaos::CanonicalCampaign::start_heavy_load(*net_, tree_, net::kMtuFrameBytes);
 
-  start_traffic(net, hosts, spec);
-
-  // Multi-source hierarchy: a stratum-1 GPS source on the first host, a
+  // Multi-source hierarchy, built before the engine/sentinel that point into
+  // it. Generic specs put a stratum-1 GPS source on the first host, a
   // stratum-2 island source on the last, clients everywhere in between
   // (mirrored by hier_server_hosts for the generator's fault targeting).
-  // Declared before the engine/sentinel, which hold pointers into it.
-  dtp::TimeHierarchy hierarchy;
-  if (spec.hier) {
+  if (spec.preset == Preset::kSource) {
+    chaos::SourceCampaign::build_hierarchy(hierarchy_, *net_, dtp_, tree_);
+    if (spec.hier_holdover_ceiling > 0)
+      for (const auto& c : hierarchy_.clients())
+        c->set_holdover_ceiling(spec.hier_holdover_ceiling);
+    hierarchy_.start();
+  } else if (spec.hier) {
     if (hosts.size() < 3)
       throw std::invalid_argument(
           "stress: hier needs at least three hosts (two sources + a client)");
     const fs_t source_period = from_us(100);
-    hierarchy.add_server(sim, *hosts.front(), *dtp.agent_of(hosts.front()),
-                         dtp::TimeSourceParams::gps(1, source_period));
-    hierarchy.add_server(
-        sim, *hosts.back(), *dtp.agent_of(hosts.back()),
+    hierarchy_.add_server(sim_, *hosts.front(), *dtp_.agent_of(hosts.front()),
+                          dtp::TimeSourceParams::gps(1, source_period));
+    hierarchy_.add_server(
+        sim_, *hosts.back(), *dtp_.agent_of(hosts.back()),
         dtp::TimeSourceParams::upstream_island(2, 2, 150.0, source_period));
     dtp::HierarchyParams hp;
-    if (spec.hier_holdover_ceiling > 0)
-      hp.holdover_ceiling = spec.hier_holdover_ceiling;
+    if (spec.hier_holdover_ceiling > 0) hp.holdover_ceiling = spec.hier_holdover_ceiling;
     for (std::size_t i = 1; i + 1 < hosts.size(); ++i)
-      hierarchy.add_client(*hosts[i], *dtp.agent_of(hosts[i]), hp);
-    hierarchy.start();
+      hierarchy_.add_client(*hosts[i], *dtp_.agent_of(hosts[i]), hp);
+    hierarchy_.start();
   }
 
   // Observability attaches before the chaos plan is scheduled so the
-  // chaos.faults_injected counter sees every fault. Declared before the
-  // engine/sentinel so the hub outlives everything holding a pointer to it.
-  std::unique_ptr<obs::Session> session;
-  if (obs != nullptr && (!obs->trace_path.empty() || !obs->metrics_path.empty())) {
-    obs::SessionConfig oc;
-    oc.trace_path = obs->trace_path;
-    oc.metrics_path = obs->metrics_path;
-    oc.metrics_interval = obs->metrics_interval;
-    session = std::make_unique<obs::Session>(net, &dtp, oc);
-  }
+  // chaos.faults_injected counter sees every fault.
+  if (obs != nullptr && (!obs->trace_path.empty() || !obs->metrics_path.empty()))
+    session_ = std::make_unique<obs::Session>(*net_, &dtp_, *obs);
+  obs::Hub* hub = session_ ? &session_->hub() : nullptr;
 
-  chaos::ChaosParams cp;
-  cp.dtp = dp;
-  chaos::ChaosEngine engine(net, dtp, cp);
-  if (session) engine.set_obs(&session->hub());
-  if (spec.hier) engine.set_hierarchy(&hierarchy);
+  engine_ = std::make_unique<chaos::ChaosEngine>(*net_, dtp_, cp);
+  engine_->set_obs(hub);
+  if (spec.hier) engine_->set_hierarchy(&hierarchy_);
   chaos::FaultPlan plan;
-  for (const auto& f : spec.faults) plan.add(chaos::realize(f, net));
-  if (!plan.faults.empty()) engine.schedule(plan);
+  for (const auto& f : spec.faults) plan.add(chaos::realize(f, *net_));
+  if (!plan.faults.empty()) engine_->schedule(plan);
 
   // Gray-failure watchdog (DESIGN.md §15): seeded from the sim seed so the
   // backoff-jitter stream replays bit-identically from the repro file.
-  std::unique_ptr<dtp::HealthWatchdog> watchdog;
   if (spec.gray) {
-    watchdog = std::make_unique<dtp::HealthWatchdog>(net, dtp,
-                                                     dtp::WatchdogParams{},
-                                                     spec.sim_seed);
-    if (session) watchdog->set_obs(&session->hub());
+    dtp::WatchdogParams wp = spec.preset == Preset::kGray
+                                 ? chaos::GrayCampaign::watchdog_params()
+                                 : dtp::WatchdogParams{};
+    if (spec.wd_check_period > 0) wp.check_period = spec.wd_check_period;
+    if (spec.wd_backoff > 0) wp.reinit_backoff = spec.wd_backoff;
+    watchdog_ = std::make_unique<dtp::HealthWatchdog>(*net_, dtp_, wp, spec.sim_seed);
+    watchdog_->set_obs(hub);
   }
 
   check::SentinelParams sp;
   if (spec.sample_period > 0) sp.sample_period = spec.sample_period;
   if (spec.offset_bound_ticks > 0) sp.offset_bound_ticks = spec.offset_bound_ticks;
-  check::Sentinel sentinel(net, dtp, sp);
-  if (session) sentinel.set_obs(&session->hub());
-  if (spec.hier) sentinel.set_hierarchy(&hierarchy);
-  if (watchdog) sentinel.set_watchdog(watchdog.get());
-  for (const auto& f : spec.faults)
-    sentinel.add_blackout(f.at - 2 * sp.sample_period,
-                          fault_end(f) + recovery_margin(f.kind));
+  sentinel_ = std::make_unique<check::Sentinel>(*net_, dtp_, sp);
+  sentinel_->set_obs(hub);
+  if (spec.hier) sentinel_->set_hierarchy(&hierarchy_);
+  if (watchdog_) sentinel_->set_watchdog(watchdog_.get());
+  for (const auto& [from, until] : blackout_windows(spec)) sentinel_->add_blackout(from, until);
+}
 
-  if (session) session->start(spec.horizon);
-  if (spec.threads > 1) sim.set_threads(spec.threads);
+CampaignResult Campaign::run() {
+  if (session_) session_->start(spec_.horizon);
+  if (spec_.threads > 1) sim_.set_threads(spec_.threads);
 
-  sim.run_until(spec.horizon);
+  sim_.run_until(spec_.horizon);
 
-  if (session) {
+  if (session_) {
     std::string err;
-    if (!session->finish(&err))
+    if (!session_->finish(&err))
       throw std::runtime_error("stress: observability write failed: " + err);
   }
 
   CampaignResult r;
-  r.spec = spec;
-  r.violations = sentinel.violations();
-  r.digest = sentinel.digest();
-  r.sentinel_stats = sentinel.stats();
-  r.offset_bound_ticks = sentinel.offset_bound_ticks();
-  r.diameter_hops = sentinel.diameter_hops();
-  r.events_executed = sim.stats().executed;
-  r.shards = sim.shard_count();
+  r.spec = spec_;
+  r.violations = sentinel_->violations();
+  r.digest = sentinel_->digest();
+  r.sentinel_stats = sentinel_->stats();
+  r.offset_bound_ticks = sentinel_->offset_bound_ticks();
+  r.diameter_hops = sentinel_->diameter_hops();
+  r.events_executed = sim_.stats().executed;
+  r.shards = sim_.shard_count();
   return r;
+}
+
+CampaignResult run_campaign(const StressSpec& spec, const obs::SessionConfig* obs) {
+  return Campaign(spec, obs).run();
 }
 
 CampaignResult run_differential(const StressSpec& spec) {

@@ -3,17 +3,20 @@
 /// \file runner.hpp
 /// Campaign execution: StressSpec -> live simulation -> sentinel verdict.
 ///
-/// `run_campaign` is the single code path behind the fuzzer batch, the
-/// `dtpsim --repro` CLI, the differential harness, and the shrinker — so a
-/// violation found anywhere replays identically everywhere. A campaign
-/// builds the spec's topology, DTP-enables it, starts traffic, schedules
-/// the fault plan through the chaos engine, attaches a `check::Sentinel`
-/// (with a blackout window per fault), and runs to the horizon.
+/// `stress::Campaign` is the single rig behind the fuzzer, the shrinker,
+/// `dtpsim --repro` and `--chaos`, and the chaos-campaign benches and tests,
+/// so a violation found anywhere replays identically everywhere.
 
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "chaos/engine.hpp"
 #include "check/sentinel.hpp"
+#include "dtp/hierarchy.hpp"
+#include "dtp/watchdog.hpp"
+#include "obs/session.hpp"
 #include "stress/spec.hpp"
 
 namespace dtpsim::stress {
@@ -33,26 +36,60 @@ struct CampaignResult {
   bool clean() const { return violations.empty(); }
 };
 
-/// Optional observability attachment for a campaign run (obs::Session):
-/// a non-empty path enables the corresponding facility. Used by the CLI to
-/// replay a failing campaign with a trace attached.
-struct ObsOptions {
-  std::string trace_path;
-  std::string metrics_path;
-  fs_t metrics_interval = 0;  ///< 0 = horizon/256 (see obs::SessionConfig)
+/// The sentinel blackout windows the rig grants `spec`: per fault, from two
+/// samples before injection to `recovery_margin` past its end; under the
+/// gray and source presets, the campaign's own windows
+/// (GrayCampaign::blackouts, SourceCampaign::island_blackout) in which a
+/// fault is injected.
+std::vector<std::pair<fs_t, fs_t>> blackout_windows(const StressSpec& spec);
+
+/// One campaign rig, built from a spec in a fixed order: simulator ->
+/// network -> DTP -> load -> hierarchy -> observability -> chaos engine (plan
+/// scheduled) -> watchdog -> sentinel. Callers may add what they measure
+/// (a daemon, a probe, an extra fault) between construction and `run()`.
+class Campaign {
+ public:
+  /// Throws std::invalid_argument if the spec is internally inconsistent
+  /// (e.g. a fault names a device the topology does not build) — the
+  /// shrinker treats that as "candidate invalid", not as a failure. An
+  /// obs::Session is attached when `obs` names a trace or metrics path.
+  explicit Campaign(const StressSpec& spec, const obs::SessionConfig* obs = nullptr);
+
+  Campaign(const Campaign&) = delete;
+  Campaign& operator=(const Campaign&) = delete;
+
+  const StressSpec& spec() const { return spec_; }
+  sim::Simulator& sim() { return sim_; }
+  net::Network& net() { return *net_; }
+  dtp::DtpNetwork& dtp() { return dtp_; }
+  /// The Fig. 5 tree; empty for other topologies.
+  const net::PaperTreeTopology& paper_tree() const { return tree_; }
+  dtp::TimeHierarchy& hierarchy() { return hierarchy_; }
+  dtp::HealthWatchdog* watchdog() { return watchdog_.get(); }  ///< null unless gray
+  chaos::ChaosEngine& engine() { return *engine_; }
+  check::Sentinel& sentinel() { return *sentinel_; }
+
+  /// Engage `spec.threads` workers, run to the horizon, write any
+  /// observability files, and summarize. Call once. Deterministic: same
+  /// spec -> same result, at any thread count. Throws std::runtime_error if
+  /// an observability file cannot be written.
+  CampaignResult run();
+
+ private:
+  StressSpec spec_;
+  sim::Simulator sim_;
+  std::unique_ptr<net::Network> net_;
+  net::PaperTreeTopology tree_;
+  dtp::DtpNetwork dtp_;
+  dtp::TimeHierarchy hierarchy_;
+  std::unique_ptr<obs::Session> session_;
+  std::unique_ptr<chaos::ChaosEngine> engine_;
+  std::unique_ptr<dtp::HealthWatchdog> watchdog_;
+  std::unique_ptr<check::Sentinel> sentinel_;
 };
 
-/// Execute one campaign. Deterministic: same spec -> same result (any
-/// thread count yields the same digest). Throws std::invalid_argument if
-/// the spec is internally inconsistent (e.g. a fault names a device the
-/// topology does not build) — the shrinker treats that as "candidate
-/// invalid", not as a failure.
-CampaignResult run_campaign(const StressSpec& spec);
-
-/// As above, with trace/metrics attached when `obs` is non-null and names
-/// at least one output path. Throws std::runtime_error if a configured
-/// observability file cannot be written.
-CampaignResult run_campaign(const StressSpec& spec, const ObsOptions* obs);
+/// `Campaign(spec, obs).run()`.
+CampaignResult run_campaign(const StressSpec& spec, const obs::SessionConfig* obs = nullptr);
 
 /// Run the spec serially and with `spec.threads` workers and compare
 /// sentinel digests. On mismatch the returned (parallel) result gains a

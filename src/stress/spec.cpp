@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
 
+#include "chaos/campaign.hpp"
 #include "common/rng.hpp"
 
 namespace dtpsim::stress {
@@ -111,6 +113,16 @@ double parse_f64(const std::string& key, const std::string& v) {
   return out;
 }
 
+constexpr const char* kPresetNames[] = {"none", "canonical", "gray", "source"};
+
+const char* preset_name(Preset p) { return kPresetNames[static_cast<int>(p)]; }
+
+Preset preset_from_name(const std::string& name) {
+  for (int i = 0; i < 4; ++i)
+    if (name == kPresetNames[i]) return static_cast<Preset>(i);
+  throw std::invalid_argument("stress: unknown preset '" + name + "'");
+}
+
 std::string fmt_f64(double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
@@ -156,13 +168,18 @@ std::string to_text(const StressSpec& s) {
   std::ostringstream out;
   out << "dtpsim-stress-repro v1\n";
   out << "campaign seed=" << s.sim_seed << " topo=" << topo_name(s.topo) << "\n";
-  out << "topo_args chain=" << s.chain_switches << " tree_sw=" << s.tree_switches
-      << " tree_hosts=" << s.tree_hosts << " shape=" << s.shape_seed
-      << " fat_k=" << s.fat_k << " fat_hpe=" << s.fat_hosts_per_edge << "\n";
-  out << "net beacon=" << s.beacon_interval_ticks << " ppm=" << fmt_f64(s.ppm_spread)
-      << " drift=" << (s.enable_drift ? 1 : 0) << " prop=" << s.propagation_delay << "\n";
-  out << "load flows=" << s.n_flows << " bytes=" << s.frame_bytes
-      << " saturate=" << (s.saturate ? 1 : 0) << " gbps=" << fmt_f64(s.rate_gbps) << "\n";
+  // A preset owns the topology, net and load sections (StressSpec::preset).
+  if (s.preset != Preset::kNone) {
+    out << "preset name=" << preset_name(s.preset) << "\n";
+  } else {
+    out << "topo_args chain=" << s.chain_switches << " tree_sw=" << s.tree_switches
+        << " tree_hosts=" << s.tree_hosts << " shape=" << s.shape_seed
+        << " fat_k=" << s.fat_k << " fat_hpe=" << s.fat_hosts_per_edge << "\n";
+    out << "net beacon=" << s.beacon_interval_ticks << " ppm=" << fmt_f64(s.ppm_spread)
+        << " drift=" << (s.enable_drift ? 1 : 0) << " prop=" << s.propagation_delay << "\n";
+    out << "load flows=" << s.n_flows << " bytes=" << s.frame_bytes
+        << " saturate=" << (s.saturate ? 1 : 0) << " gbps=" << fmt_f64(s.rate_gbps) << "\n";
+  }
   out << "run threads=" << s.threads << " settle=" << s.settle
       << " horizon=" << s.horizon << " engine=" << (s.bridged ? "bridged" : "exact")
       << "\n";
@@ -174,6 +191,8 @@ std::string to_text(const StressSpec& s) {
     out << "hier enabled=" << (s.hier ? 1 : 0)
         << " ceiling=" << s.hier_holdover_ceiling << "\n";
   if (s.gray) out << "gray enabled=1\n";
+  if (s.wd_check_period != 0 || s.wd_backoff != 0)
+    out << "watchdog check=" << s.wd_check_period << " backoff=" << s.wd_backoff << "\n";
   for (const auto& f : s.faults) out << chaos::fault_to_line(f) << "\n";
   out << "end\n";
   return out.str();
@@ -254,15 +273,24 @@ StressSpec spec_from_text(const std::string& text) {
     } else if (section == "gray") {
       // Optional — absent in pre-watchdog repro files.
       s.gray = parse_u64("enabled", take(kv, section, "enabled")) != 0;
+    } else if (section == "watchdog") {
+      s.wd_check_period = parse_i64("check", take(kv, section, "check"));
+      s.wd_backoff = parse_i64("backoff", take(kv, section, "backoff"));
+    } else if (section == "preset") {
+      s.preset = preset_from_name(take(kv, section, "name"));
     } else {
       throw std::invalid_argument("stress: unknown section '" + section + "'");
     }
     expect_empty(kv, section);
   }
   if (!terminated) throw std::invalid_argument("stress: repro text missing 'end' footer");
+  const bool preset = s.preset != Preset::kNone;
   for (int i = 0; i < 6; ++i)
-    if (!seen[i])
+    if (!seen[i] && !(preset && i >= 1 && i <= 3))
       throw std::invalid_argument("stress: repro text is missing a required section");
+  if (preset && (seen[1] || seen[2] || seen[3]))
+    throw std::invalid_argument(std::string("stress: preset '") + preset_name(s.preset) +
+                                "' owns the topo_args, net and load sections");
   if (s.threads == 0 || s.threads > 16)
     throw std::invalid_argument("stress: threads must be in [1, 16]");
   if (s.horizon <= s.settle) throw std::invalid_argument("stress: horizon must exceed settle");
@@ -271,6 +299,72 @@ StressSpec spec_from_text(const std::string& text) {
   if (s.hier && spec_host_count(s) < 3)
     throw std::invalid_argument(
         "stress: hier needs at least three hosts (two sources + a client)");
+  if (s.wd_check_period < 0 || s.wd_backoff < 0)
+    throw std::invalid_argument("stress: watchdog durations must be non-negative");
+  if ((s.wd_check_period != 0 || s.wd_backoff != 0) && !s.gray)
+    throw std::invalid_argument("stress: the watchdog section needs gray enabled=1");
+  check_preset(s);
+  return s;
+}
+
+void check_preset(const StressSpec& s) {
+  if (s.preset == Preset::kNone) return;
+  if (s.topo != TopoKind::kPaperTree || s.hier != (s.preset == Preset::kSource) ||
+      s.gray != (s.preset == Preset::kGray))
+    throw std::invalid_argument(std::string("stress: preset '") + preset_name(s.preset) +
+                                "' runs the Fig. 5 tree, with hier set only by 'source' "
+                                "and gray only by 'gray'");
+}
+
+StressSpec named_spec(const std::string& name, std::uint64_t seed) {
+  using chaos::FaultKind;
+  // The single-fault plans: the canonical fault of one class, alone at the
+  // settle time, and how long each runs past it.
+  const std::map<std::string, std::pair<FaultKind, fs_t>> single = {
+      {"flap", {FaultKind::kLinkFlap, from_ms(2)}},
+      {"storm", {FaultKind::kFlapStorm, from_ms(3)}},
+      {"crash", {FaultKind::kNodeCrash, from_ms(2)}},
+      {"ber", {FaultKind::kBerBurst, from_ms(3)}},
+      {"rogue", {FaultKind::kRogueOscillator, from_ms(12)}},
+  };
+  // The campaign plans name devices through pointers: describe them on a
+  // throwaway Fig. 5 tree.
+  sim::Simulator sim(seed);
+  net::Network net(sim);
+  const net::PaperTreeTopology tree = net::build_paper_tree(net);
+
+  StressSpec s;
+  s.sim_seed = seed;
+  chaos::FaultPlan plan;
+  if (name == "gray") {
+    s.preset = Preset::kGray;
+    s.settle = chaos::GrayCampaign::settle_time();
+    plan = chaos::GrayCampaign::plan(tree, s.settle);
+    s.horizon = chaos::GrayCampaign::end_time(s.settle);
+  } else if (name == "source") {
+    s.preset = Preset::kSource;
+    s.settle = chaos::SourceCampaign::settle_time();
+    plan = chaos::SourceCampaign::plan(tree, s.settle);
+    s.horizon = chaos::SourceCampaign::end_time(s.settle);
+  } else if (name == "canonical" || single.count(name) > 0) {
+    s.preset = Preset::kCanonical;
+    s.settle = chaos::CanonicalCampaign::settle_time();
+    plan = chaos::CanonicalCampaign::plan(tree, s.settle);
+    s.horizon = chaos::CanonicalCampaign::end_time(s.settle);
+    if (const auto it = single.find(name); it != single.end()) {
+      std::erase_if(plan.faults, [&](const chaos::FaultSpec& f) {
+        return f.kind != it->second.first;
+      });
+      plan.faults.at(0).at = s.settle;
+      s.horizon = s.settle + it->second.second;
+    }
+  } else {
+    throw std::invalid_argument("stress: unknown named campaign '" + name +
+                                "' (want canonical|gray|source|flap|storm|crash|ber|rogue)");
+  }
+  for (const chaos::FaultSpec& f : plan.faults) s.faults.push_back(chaos::describe(f));
+  s.hier = s.preset == Preset::kSource;
+  s.gray = s.preset == Preset::kGray;
   return s;
 }
 

@@ -27,6 +27,10 @@ enum class TopoKind : std::uint8_t { kChain, kPaperTree, kRandomTree, kFatTree }
 const char* topo_name(TopoKind kind);
 TopoKind topo_from_name(const std::string& name);
 
+/// A named chaos campaign (chaos/campaign.hpp) a spec runs; see
+/// StressSpec::preset.
+enum class Preset : std::uint8_t { kNone, kCanonical, kGray, kSource };
+
 struct StressSpec {
   std::uint64_t sim_seed = 1;
 
@@ -76,6 +80,15 @@ struct StressSpec {
   /// without the watchdog they would degrade a port with nobody assigned to
   /// notice.
   bool gray = false;
+  fs_t wd_check_period = 0;  ///< 0 = WatchdogParams default
+  fs_t wd_backoff = 0;       ///< re-INIT backoff base; 0 = default
+
+  // --- Named campaign --------------------------------------------------------
+  /// Under a preset the rig runs the campaign's Fig. 5 tree, network, DTP and
+  /// chaos parameters, load and hierarchy placement: the topology arguments,
+  /// net and load fields are ignored and not serialized, and `hier`/`gray`
+  /// must be set exactly for 'source'/'gray'.
+  Preset preset = Preset::kNone;
 
   // --- Fault schedule --------------------------------------------------------
   std::vector<chaos::FaultDescriptor> faults;
@@ -119,13 +132,23 @@ struct StressLimits {
 /// number of entries `run_campaign`'s topology builder will return.
 std::size_t spec_host_count(const StressSpec& spec);
 
-/// The hosts `run_campaign` puts the two time sources on when `spec.hier`
-/// is set: {first host, last host} of the builder's host list, by name.
+/// The hosts the rig puts the two time sources on when a generic spec sets
+/// `hier`: {first host, last host} of the builder's host list, by name.
 std::pair<std::string, std::string> hier_server_hosts(const StressSpec& spec);
 
 /// Deterministically sample campaign `index` of master seed `seed`.
 StressSpec generate(std::uint64_t seed, std::uint32_t index,
                     const StressLimits& limits = {});
+
+/// The `dtpsim --chaos=<name>` plans as specs: the "canonical", "gray" and
+/// "source" campaigns, and "flap", "storm", "crash", "ber" and "rogue", the
+/// canonical campaign's fault of that class alone at the settle time.
+/// Throws std::invalid_argument for any other name.
+StressSpec named_spec(const std::string& name, std::uint64_t seed);
+
+/// Throws std::invalid_argument if a preset spec departs from its preset's
+/// topology, hier or gray setting (see StressSpec::preset).
+void check_preset(const StressSpec& spec);
 
 /// When a fault's last injected perturbation ends (storms: the final flap).
 fs_t fault_end(const chaos::FaultDescriptor& f);

@@ -1,17 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <iostream>
-#include <memory>
+#include <string>
 
-#include "chaos/campaign.hpp"
-#include "chaos/engine.hpp"
-#include "check/sentinel.hpp"
-#include "dtp/hierarchy.hpp"
-#include "dtp/watchdog.hpp"
-#include "net/frame.hpp"
+#include "stress/runner.hpp"
 
-/// The canonical chaos campaign (chaos/campaign.hpp) on the paper's Fig. 5
-/// tree under MTU-saturated load — the acceptance gate for the recovery
+/// The named chaos campaigns (chaos/campaign.hpp) on the paper's Fig. 5 tree,
+/// each built by stress::Campaign from stress::named_spec. The canonical one
+/// runs under MTU-saturated load and is the acceptance gate for the recovery
 /// story: every fault class except the rogue oscillator reconverges within
 /// two beacon intervals; the rogue is quarantined by its direct neighbor and
 /// the healthy remainder reconverges after collateral remediation.
@@ -21,28 +17,18 @@ namespace {
 
 using namespace dtpsim::literals;
 
-struct CampaignRun {
-  sim::Simulator sim;
-  net::Network net;
-  net::PaperTreeTopology tree;
-  dtp::DtpNetwork dtp;
-
-  explicit CampaignRun(std::uint64_t seed)
-      : sim(seed),
-        net(sim, chaos::CanonicalCampaign::net_params()),
-        tree(net::build_paper_tree(net)) {
-    dtp = dtp::enable_dtp(net, chaos::CanonicalCampaign::dtp_params());
-    chaos::CanonicalCampaign::start_heavy_load(net, tree, net::kMtuFrameBytes);
-  }
-};
+std::string violations_of(const check::Sentinel& sentinel) {
+  std::string out;
+  for (const auto& v : sentinel.violations()) out += v.to_string() + "\n";
+  return out;
+}
 
 TEST(ChaosCampaign, CanonicalCampaignRecoversWithinTwoBeacons) {
-  CampaignRun run(77);
-  chaos::ChaosEngine engine(run.net, run.dtp,
-                            chaos::CanonicalCampaign::chaos_params());
-  const fs_t t0 = chaos::CanonicalCampaign::settle_time();
-  engine.schedule(chaos::CanonicalCampaign::plan(run.tree, t0));
-  run.sim.run_until(chaos::CanonicalCampaign::end_time(t0));
+  stress::Campaign run(stress::named_spec("canonical", 77));
+  run.run();
+  const chaos::ChaosEngine& engine = run.engine();
+  const net::PaperTreeTopology& tree = run.paper_tree();
+  dtp::DtpNetwork& dtpnet = run.dtp();
   ASSERT_TRUE(engine.all_probes_done()) << "a probe never reported";
 
   const chaos::CampaignReport& report = engine.report();
@@ -62,9 +48,9 @@ TEST(ChaosCampaign, CanonicalCampaignRecoversWithinTwoBeacons) {
   EXPECT_TRUE(rogue.isolated) << "the +500 ppm oscillator was never quarantined";
   EXPECT_EQ(rogue.converged, 1) << "the healthy remainder did not reconverge";
 
-  dtp::Agent* s3 = run.dtp.agent_of(run.tree.aggs[2]);
+  dtp::Agent* s3 = dtpnet.agent_of(tree.aggs[2]);
   ASSERT_NE(s3, nullptr);
-  const phy::PhyPort* rogue_port = &run.tree.leaves[7]->nic_port();
+  const phy::PhyPort* rogue_port = &tree.leaves[7]->nic_port();
   bool found = false;
   for (std::size_t p = 0; p < s3->port_count(); ++p) {
     dtp::PortLogic& pl = s3->port_logic(p);
@@ -78,22 +64,26 @@ TEST(ChaosCampaign, CanonicalCampaignRecoversWithinTwoBeacons) {
   // After remediation, the rogue is the only divergence left: the healthy
   // eleven devices sit within the tree's 4TD envelope of each other.
   double healthy_worst = 0;
-  for (std::size_t i = 0; i < run.dtp.size(); ++i) {
-    dtp::Agent& a = run.dtp.agent(i);
-    if (&a.device() == run.tree.leaves[7]) continue;
-    for (std::size_t j = 0; j < run.dtp.size(); ++j) {
-      dtp::Agent& b = run.dtp.agent(j);
-      if (&b.device() == run.tree.leaves[7]) continue;
+  for (std::size_t i = 0; i < dtpnet.size(); ++i) {
+    dtp::Agent& a = dtpnet.agent(i);
+    if (&a.device() == tree.leaves[7]) continue;
+    for (std::size_t j = 0; j < dtpnet.size(); ++j) {
+      dtp::Agent& b = dtpnet.agent(j);
+      if (&b.device() == tree.leaves[7]) continue;
       healthy_worst = std::max(
-          healthy_worst, std::abs(dtp::true_offset_fractional(a, b, run.sim.now())));
+          healthy_worst, std::abs(dtp::true_offset_fractional(a, b, run.sim().now())));
     }
   }
   EXPECT_LE(healthy_worst, 16.0) << "healthy devices diverged post-remediation";
 
+  // Outside each fault's blackout window the sentinel's offset, runaway and
+  // monotonicity monitors held throughout.
+  EXPECT_TRUE(run.sentinel().clean()) << violations_of(run.sentinel());
+
   if (HasFailure()) {  // dump the campaign state for the postmortem
     engine.report().print(std::cerr);
-    for (std::size_t i = 0; i < run.dtp.size(); ++i) {
-      dtp::Agent& a = run.dtp.agent(i);
+    for (std::size_t i = 0; i < dtpnet.size(); ++i) {
+      dtp::Agent& a = dtpnet.agent(i);
       std::cerr << a.device().name() << ":";
       for (std::size_t p = 0; p < a.port_count(); ++p) {
         const dtp::PortLogic& pl = a.port_logic(p);
@@ -112,19 +102,18 @@ TEST(ChaosCampaign, CampaignIsDeterministic) {
   // Same seed, same plan — byte-identical recovery numbers. Chaos results
   // are only debuggable if a failing campaign can be replayed exactly.
   auto reconverge_times = [](std::uint64_t seed) {
-    CampaignRun run(seed);
-    chaos::ChaosEngine engine(run.net, run.dtp,
-                              chaos::CanonicalCampaign::chaos_params());
-    const fs_t t0 = chaos::CanonicalCampaign::settle_time();
-    // A two-fault sub-plan keeps the runtime modest.
-    chaos::FaultPlan plan;
-    plan.add(chaos::FaultSpec::link_flap(*run.tree.leaves[0], *run.tree.aggs[0], t0,
-                                         50_us))
-        .add(chaos::FaultSpec::node_crash(*run.tree.leaves[4], t0 + 1_ms, 400_us));
-    engine.schedule(plan);
-    run.sim.run_until(t0 + 3_ms);
+    // A two-fault sub-plan keeps the runtime modest: the flap plan's
+    // 50 us leaf0--S1 bounce at t0, then the crash plan's 400 us leaf4
+    // power-off 1 ms later.
+    stress::StressSpec spec = stress::named_spec("flap", seed);
+    chaos::FaultDescriptor crash = stress::named_spec("crash", seed).faults.at(0);
+    crash.at += 1_ms;
+    spec.faults.push_back(crash);
+    spec.horizon = spec.settle + 3_ms;
+    stress::Campaign run(spec);
+    run.run();
     std::vector<double> out;
-    for (const auto& r : engine.report().results()) out.push_back(r.reconverge_beacons);
+    for (const auto& r : run.engine().report().results()) out.push_back(r.reconverge_beacons);
     return out;
   };
   EXPECT_EQ(reconverge_times(99), reconverge_times(99));
@@ -135,39 +124,14 @@ TEST(ChaosCampaign, CampaignIsDeterministic) {
 /// Fig. 5 tree, with the sentinel's UTC invariants armed throughout (no
 /// blackout: a backward served step or an understated uncertainty is never
 /// legal, fault or not).
-struct SourceRun {
-  sim::Simulator sim;
-  net::Network net;
-  net::PaperTreeTopology tree;
-  dtp::DtpNetwork dtp;
-  dtp::TimeHierarchy hierarchy;
-
-  explicit SourceRun(std::uint64_t seed, unsigned threads = 1)
-      : sim(seed),
-        net(sim, chaos::SourceCampaign::net_params()),
-        tree(net::build_paper_tree(net)) {
-    dtp = dtp::enable_dtp(net, chaos::SourceCampaign::dtp_params());
-    chaos::SourceCampaign::build_hierarchy(hierarchy, net, dtp, tree);
-    hierarchy.start();
-    if (threads > 1) sim.set_threads(threads);
-  }
-};
-
 TEST(ChaosCampaign, SourceCampaignGates) {
-  SourceRun run(77);
-  check::Sentinel sentinel(run.net, run.dtp);
-  sentinel.set_hierarchy(&run.hierarchy);
-
-  chaos::ChaosEngine engine(run.net, run.dtp, chaos::SourceCampaign::chaos_params());
-  engine.set_hierarchy(&run.hierarchy);
-  const fs_t t0 = chaos::SourceCampaign::settle_time();
-  engine.schedule(chaos::SourceCampaign::plan(run.tree, t0));
   // The partition disturbs the *network* layer too; the offset/runaway
-  // monitors take the usual fault blackout. The UTC checks never do.
-  const auto [bo_from, bo_until] = chaos::SourceCampaign::island_blackout(t0);
-  sentinel.add_blackout(bo_from, bo_until);
-
-  run.sim.run_until(chaos::SourceCampaign::end_time(t0));
+  // monitors take the usual fault blackout over it. The UTC checks never do.
+  stress::Campaign run(stress::named_spec("source", 77));
+  run.run();
+  const chaos::ChaosEngine& engine = run.engine();
+  const check::Sentinel& sentinel = run.sentinel();
+  const dtp::TimeHierarchy& hierarchy = run.hierarchy();
   ASSERT_TRUE(engine.all_probes_done()) << "a source-fault probe never reported";
 
   const chaos::CampaignReport& report = engine.report();
@@ -187,7 +151,7 @@ TEST(ChaosCampaign, SourceCampaignGates) {
   EXPECT_EQ(rogue.converged, 1) << "hierarchy did not settle after the lie cleared";
 
   // The lie was *rejected*, not averaged in: every client struck the rogue.
-  for (const auto& c : run.hierarchy.clients()) {
+  for (const auto& c : hierarchy.clients()) {
     const dtp::SourceTrack* t = c->track(1);
     ASSERT_NE(t, nullptr);
     EXPECT_GT(t->rejected, 0u) << c->host().name() << " never rejected the lie";
@@ -199,7 +163,7 @@ TEST(ChaosCampaign, SourceCampaignGates) {
   EXPECT_EQ(report.summary("stratum_flap").converged, 1);
 
   // Every client ended locked, and the faults actually exercised selection.
-  for (const auto& c : run.hierarchy.clients()) {
+  for (const auto& c : hierarchy.clients()) {
     EXPECT_TRUE(c->ever_served()) << c->host().name();
     EXPECT_EQ(c->status(), dtp::HierarchyStatus::kLocked) << c->host().name();
     EXPECT_GT(c->selection_changes(), 1u) << c->host().name();
@@ -209,11 +173,7 @@ TEST(ChaosCampaign, SourceCampaignGates) {
   // understated uncertainty — through every fault, including holdover.
   const auto stats = sentinel.stats();
   EXPECT_GT(stats.utc_checks, 0u) << "UTC monitor never ran";
-  EXPECT_TRUE(sentinel.clean()) << [&] {
-    std::string out;
-    for (const auto& v : sentinel.violations()) out += v.to_string() + "\n";
-    return out;
-  }();
+  EXPECT_TRUE(sentinel.clean()) << violations_of(sentinel);
 
   if (HasFailure()) engine.report().print(std::cerr);
 }
@@ -230,20 +190,14 @@ TEST(ChaosCampaign, SourceCampaignDeterministicAcrossThreads) {
     bool operator==(const Fingerprint&) const = default;
   };
   auto fingerprint = [](unsigned threads) {
-    SourceRun run(321, threads);
-    check::Sentinel sentinel(run.net, run.dtp);
-    sentinel.set_hierarchy(&run.hierarchy);
-    chaos::ChaosEngine engine(run.net, run.dtp,
-                              chaos::SourceCampaign::chaos_params());
-    engine.set_hierarchy(&run.hierarchy);
-    const fs_t t0 = chaos::SourceCampaign::settle_time();
-    engine.schedule(chaos::SourceCampaign::plan(run.tree, t0));
-    run.sim.run_until(chaos::SourceCampaign::end_time(t0));
+    stress::StressSpec spec = stress::named_spec("source", 321);
+    spec.threads = threads;
+    stress::Campaign run(spec);
     Fingerprint fp;
-    fp.digest = sentinel.digest().hex();
-    for (const auto& r : engine.report().results())
+    fp.digest = run.run().digest.hex();
+    for (const auto& r : run.engine().report().results())
       fp.reconverge.push_back(r.reconverge_beacons);
-    for (const auto& c : run.hierarchy.clients()) {
+    for (const auto& c : run.hierarchy().clients()) {
       fp.counters.push_back(c->syncs_received());
       fp.counters.push_back(c->samples_rejected());
       fp.counters.push_back(c->selection_changes());
@@ -259,36 +213,13 @@ TEST(ChaosCampaign, SourceCampaignDeterministicAcrossThreads) {
 /// delay, limping port, silent corruption, frozen counter — partial faults
 /// the loud detectors cannot see, detected and remediated by the per-port
 /// HealthWatchdog's escalation ladder (DESIGN.md §15).
-struct GrayRun {
-  sim::Simulator sim;
-  net::Network net;
-  net::PaperTreeTopology tree;
-  dtp::DtpNetwork dtp;
-  std::unique_ptr<dtp::HealthWatchdog> watchdog;
-
-  explicit GrayRun(std::uint64_t seed, unsigned threads = 1,
-                   dtp::WatchdogParams wp = chaos::GrayCampaign::watchdog_params())
-      : sim(seed),
-        net(sim, chaos::GrayCampaign::net_params()),
-        tree(net::build_paper_tree(net)) {
-    dtp = dtp::enable_dtp(net, chaos::GrayCampaign::dtp_params());
-    chaos::CanonicalCampaign::start_heavy_load(net, tree, net::kMtuFrameBytes);
-    watchdog = std::make_unique<dtp::HealthWatchdog>(net, dtp, wp, seed);
-    if (threads > 1) sim.set_threads(threads);
-  }
-};
-
 TEST(ChaosCampaign, GrayCampaignDetectsAndRemediatesAllClasses) {
-  GrayRun run(77);
-  check::Sentinel sentinel(run.net, run.dtp);
-  sentinel.set_watchdog(run.watchdog.get());
-  chaos::ChaosEngine engine(run.net, run.dtp, chaos::GrayCampaign::chaos_params());
-  const fs_t t0 = chaos::GrayCampaign::settle_time();
-  for (const auto& [from, until] : chaos::GrayCampaign::blackouts(t0))
-    sentinel.add_blackout(from, until);
-  const chaos::FaultPlan plan = chaos::GrayCampaign::plan(run.tree, t0);
-  engine.schedule(plan);
-  run.sim.run_until(chaos::GrayCampaign::end_time(t0));
+  const stress::StressSpec spec = stress::named_spec("gray", 77);
+  stress::Campaign run(spec);
+  run.run();
+  const chaos::ChaosEngine& engine = run.engine();
+  const check::Sentinel& sentinel = run.sentinel();
+  const dtp::HealthWatchdog& watchdog = *run.watchdog();
   ASSERT_TRUE(engine.all_probes_done()) << "a gray-fault probe never reported";
 
   const chaos::CampaignReport& report = engine.report();
@@ -305,42 +236,38 @@ TEST(ChaosCampaign, GrayCampaignDetectsAndRemediatesAllClasses) {
   // walked the ladder (quarantined at least once), finished HEALTHY with the
   // episode closed, and nothing escalated to a disable.
   std::size_t remediated = 0;
-  std::vector<int> window_hits(plan.faults.size(), 0);
-  for (std::size_t i = 0; i < run.watchdog->watch_count(); ++i) {
-    const dtp::WatchdogPortStats& ws = run.watchdog->watch_stats(i);
+  std::vector<int> window_hits(spec.faults.size(), 0);
+  for (std::size_t i = 0; i < watchdog.watch_count(); ++i) {
+    const dtp::WatchdogPortStats& ws = watchdog.watch_stats(i);
     if (ws.suspects == 0) continue;
     bool in_window = false;
-    for (std::size_t f = 0; f < plan.faults.size(); ++f) {
-      const chaos::FaultSpec& spec = plan.faults[f];
-      if (ws.first_suspected_at >= spec.at &&
-          ws.first_suspected_at < spec.at + spec.duration + 3_ms) {
+    for (std::size_t f = 0; f < spec.faults.size(); ++f) {
+      const chaos::FaultDescriptor& fault = spec.faults[f];
+      if (ws.first_suspected_at >= fault.at &&
+          ws.first_suspected_at < fault.at + fault.duration + 3_ms) {
         in_window = true;
         ++window_hits[f];
       }
     }
-    EXPECT_TRUE(in_window) << run.watchdog->watch_label(i)
+    EXPECT_TRUE(in_window) << watchdog.watch_label(i)
                            << " suspected outside every fault window";
     if (ws.quarantines > 0) ++remediated;
-    EXPECT_EQ(run.watchdog->watch_health(i), dtp::PortHealth::kHealthy)
-        << run.watchdog->watch_label(i) << " never recovered";
-    EXPECT_EQ(ws.attempts, 0) << run.watchdog->watch_label(i)
+    EXPECT_EQ(watchdog.watch_health(i), dtp::PortHealth::kHealthy)
+        << watchdog.watch_label(i) << " never recovered";
+    EXPECT_EQ(ws.attempts, 0) << watchdog.watch_label(i)
                               << " episode still open at the end";
   }
-  for (std::size_t f = 0; f < plan.faults.size(); ++f)
+  for (std::size_t f = 0; f < spec.faults.size(); ++f)
     EXPECT_GT(window_hits[f], 0)
-        << chaos::fault_class_name(plan.faults[f].kind) << " was never detected";
+        << chaos::fault_class_name(spec.faults[f].kind) << " was never detected";
   EXPECT_GE(remediated, 4u) << "fewer victim ports than faults were remediated";
-  EXPECT_EQ(run.watchdog->total_disables(), 0u)
+  EXPECT_EQ(watchdog.total_disables(), 0u)
       << "a transient gray fault must not burn a port";
 
   // The sentinel's watchdog invariants (attempt ceiling, monotone backoff,
   // disable finality) are never blacked out and must be clean throughout.
   EXPECT_GT(sentinel.stats().watchdog_checks, 0u) << "watchdog monitor never ran";
-  EXPECT_TRUE(sentinel.clean()) << [&] {
-    std::string out;
-    for (const auto& v : sentinel.violations()) out += v.to_string() + "\n";
-    return out;
-  }();
+  EXPECT_TRUE(sentinel.clean()) << violations_of(sentinel);
 
   if (HasFailure()) engine.report().print(std::cerr);
 }
@@ -356,20 +283,16 @@ TEST(ChaosCampaign, GrayCampaignDeterministicAcrossThreads) {
     bool operator==(const Fingerprint&) const = default;
   };
   auto fingerprint = [](unsigned threads) {
-    GrayRun run(321, threads);
-    check::Sentinel sentinel(run.net, run.dtp);
-    sentinel.set_watchdog(run.watchdog.get());
-    chaos::ChaosEngine engine(run.net, run.dtp,
-                              chaos::GrayCampaign::chaos_params());
-    const fs_t t0 = chaos::GrayCampaign::settle_time();
-    engine.schedule(chaos::GrayCampaign::plan(run.tree, t0));
-    run.sim.run_until(chaos::GrayCampaign::end_time(t0));
+    stress::StressSpec spec = stress::named_spec("gray", 321);
+    spec.threads = threads;
+    stress::Campaign run(spec);
     Fingerprint fp;
-    fp.digest = sentinel.digest().hex();
-    for (const auto& r : engine.report().results())
+    fp.digest = run.run().digest.hex();
+    for (const auto& r : run.engine().report().results())
       fp.reconverge.push_back(r.reconverge_beacons);
-    for (std::size_t i = 0; i < run.watchdog->watch_count(); ++i) {
-      const dtp::WatchdogPortStats& ws = run.watchdog->watch_stats(i);
+    const dtp::HealthWatchdog& watchdog = *run.watchdog();
+    for (std::size_t i = 0; i < watchdog.watch_count(); ++i) {
+      const dtp::WatchdogPortStats& ws = watchdog.watch_stats(i);
       fp.counters.push_back(ws.strikes);
       fp.counters.push_back(ws.quarantines);
       fp.counters.push_back(ws.reinits);
@@ -390,29 +313,30 @@ TEST(ChaosCampaign, ProbeExcludesWatchdogQuarantinedPorts) {
   // probe must still converge — S3's healthy ports are the measurable
   // remainder — exactly like rogue isolation, where the quarantined
   // divergence is the *correct* outcome, not a recovery failure.
-  dtp::WatchdogParams wp = chaos::GrayCampaign::watchdog_params();
-  wp.reinit_backoff = 50_ms;
-  GrayRun run(77, 1, wp);
-  chaos::ChaosEngine engine(run.net, run.dtp, chaos::GrayCampaign::chaos_params());
-  const fs_t t0 = chaos::GrayCampaign::settle_time();
-  chaos::FaultPlan plan;
-  plan.add(chaos::FaultSpec::frozen_counter(*run.tree.leaves[6], *run.tree.aggs[2],
-                                            t0, 2_ms));
-  plan.faults.back().probe_timeout = 5_ms;
-  engine.schedule(plan);
-  run.sim.run_until(t0 + 8_ms);
-  ASSERT_TRUE(engine.all_probes_done());
+  stress::StressSpec spec = stress::named_spec("gray", 77);
+  spec.wd_backoff = 50_ms;
+  // The gray plan's frozen counter (leaf6's port facing S3, 2 ms, 5 ms probe
+  // timeout), alone and moved to t0.
+  chaos::FaultDescriptor frozen = spec.faults.back();
+  ASSERT_EQ(frozen.kind, chaos::FaultKind::kFrozenCounter);
+  frozen.at = spec.settle;
+  spec.faults = {frozen};
+  spec.horizon = spec.settle + 8_ms;
+  stress::Campaign run(spec);
+  run.run();
+  ASSERT_TRUE(run.engine().all_probes_done());
 
   // Both victim ports were quarantined and are still parked there.
-  EXPECT_GE(run.watchdog->total_quarantines(), 2u);
-  dtp::Agent* leaf = run.dtp.agent_of(run.tree.leaves[6]);
+  const dtp::HealthWatchdog& watchdog = *run.watchdog();
+  EXPECT_GE(watchdog.total_quarantines(), 2u);
+  dtp::Agent* leaf = run.dtp().agent_of(run.paper_tree().leaves[6]);
   ASSERT_NE(leaf, nullptr);
   EXPECT_EQ(leaf->port_logic(0).state(), dtp::PortState::kFaulty)
       << "the frozen leaf's port should still be quarantined";
-  EXPECT_EQ(run.watchdog->total_reinits(), 0u) << "backoff should outlast the run";
+  EXPECT_EQ(watchdog.total_reinits(), 0u) << "backoff should outlast the run";
 
   // The probe converged on the healthy remainder despite the live quarantine.
-  const chaos::ClassSummary c = engine.report().summary("frozen_counter");
+  const chaos::ClassSummary c = run.engine().report().summary("frozen_counter");
   EXPECT_EQ(c.n, 1);
   EXPECT_EQ(c.converged, 1)
       << "quarantined ports leaked into the probe's neighbor measurement";

@@ -278,7 +278,7 @@ bool any_event(const std::vector<TraceEvent>& evs, const char* ph,
 // schema fields Perfetto relies on.
 TEST(Obs, TraceFileRoundTripsThroughStrictParse) {
   const std::string trace = tmp_path("obs_roundtrip.trace.json");
-  stress::ObsOptions oo;
+  obs::SessionConfig oo;
   oo.trace_path = trace;
   const stress::CampaignResult r = stress::run_campaign(obs_spec(1), &oo);
   for (const auto& v : r.violations) ADD_FAILURE() << v.to_string();
@@ -325,7 +325,7 @@ TEST(Obs, MetricsSnapshotsDeterministicAcrossEngines) {
   const std::string serial_path = tmp_path("obs_metrics_serial.json");
   const std::string par_path = tmp_path("obs_metrics_par.json");
 
-  stress::ObsOptions oo;
+  obs::SessionConfig oo;
   oo.metrics_path = serial_path;
   stress::CampaignResult rs = stress::run_campaign(obs_spec(1), &oo);
   for (const auto& v : rs.violations) ADD_FAILURE() << v.to_string();
@@ -343,13 +343,13 @@ TEST(Obs, MetricsSnapshotsDeterministicAcrossEngines) {
   std::remove(par_path.c_str());
 }
 
-// Observability off must mean *off*: a run with no ObsOptions and a run with
-// empty ObsOptions produce bit-identical sentinel digests (no snapshot
+// Observability off must mean *off*: a run with no SessionConfig and a run
+// with an empty one produce bit-identical sentinel digests (no snapshot
 // events, no perturbed schedule).
 TEST(Obs, DisabledObservabilityLeavesDigestUntouched) {
   const stress::StressSpec spec = obs_spec(1);
   const stress::CampaignResult plain = stress::run_campaign(spec);
-  stress::ObsOptions empty;  // no trace path, no metrics path → no session
+  obs::SessionConfig empty;  // no trace path, no metrics path → no session
   const stress::CampaignResult with_empty = stress::run_campaign(spec, &empty);
   EXPECT_EQ(plain.digest.hex(), with_empty.digest.hex());
   EXPECT_EQ(plain.events_executed, with_empty.events_executed);
@@ -361,7 +361,7 @@ TEST(Obs, DisabledObservabilityLeavesDigestUntouched) {
 TEST(Obs, EnabledObservabilityIsDeterministicAcrossEngines) {
   const std::string p1 = tmp_path("obs_digest_serial.metrics.json");
   const std::string p2 = tmp_path("obs_digest_par.metrics.json");
-  stress::ObsOptions oo;
+  obs::SessionConfig oo;
   oo.metrics_path = p1;
   const stress::CampaignResult serial = stress::run_campaign(obs_spec(1), &oo);
   oo.metrics_path = p2;

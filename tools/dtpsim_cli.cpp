@@ -35,9 +35,7 @@
 
 #include "apps/harness.hpp"
 #include "chaos/campaign.hpp"
-#include "chaos/engine.hpp"
 #include "check/sentinel.hpp"
-#include "dtp/hierarchy.hpp"
 #include "dtp/network.hpp"
 #include "dtp/watchdog.hpp"
 #include "net/frame.hpp"
@@ -283,11 +281,11 @@ Options parse(int argc, char** argv) {
         throw UsageError("--load must be idle|heavy, got '" + value + "'");
       o.load = value;
     } else if (key == "chaos") {
-      if (!one_of(value, {"flap", "storm", "crash", "ber", "rogue", "source",
-                          "gray", "canonical"}))
-        throw UsageError(
-            "--chaos must be flap|storm|crash|ber|rogue|source|gray|canonical, "
-            "got '" + value + "'");
+      try {
+        stress::named_spec(value, o.seed);
+      } catch (const std::invalid_argument& e) {
+        throw UsageError(std::string("--chaos: ") + e.what());
+      }
       o.chaos = value;
     } else if (key == "app") {
       if (!one_of(value, {"owd", "lww", "tdma"}))
@@ -390,18 +388,22 @@ obs::SessionConfig obs_config(const Options& o) {
   return oc;
 }
 
-/// Write the configured observability files and tell the user where they
-/// went. Throws on I/O failure — an asked-for trace silently missing is
-/// exactly the bug class this PR removes.
+/// Tell the user where the configured observability files went.
+void announce_obs(const Options& o) {
+  if (!o.trace.empty())
+    std::printf("trace written to %s (load in ui.perfetto.dev or chrome://tracing)\n",
+                o.trace.c_str());
+  if (!o.metrics.empty()) std::printf("metrics written to %s\n", o.metrics.c_str());
+}
+
+/// Write the configured observability files and announce them. Throws on
+/// I/O failure: an asked-for trace must never go silently missing.
 void finish_obs(obs::Session* session, const Options& o) {
   if (session == nullptr) return;
   std::string err;
   if (!session->finish(&err))
     throw std::runtime_error("observability write failed: " + err);
-  if (!o.trace.empty())
-    std::printf("trace written to %s (load in ui.perfetto.dev or chrome://tracing)\n",
-                o.trace.c_str());
-  if (!o.metrics.empty()) std::printf("metrics written to %s\n", o.metrics.c_str());
+  announce_obs(o);
 }
 
 phy::LinkRate parse_rate(const std::string& s) {
@@ -462,228 +464,79 @@ BuiltTopology build_topology(net::Network& net, const Options& o) {
   return t;
 }
 
-/// Prints the sentinel's summary line and every stored violation; returns
-/// whether the run stayed clean.
-bool report_sentinel(const check::Sentinel& sentinel) {
-  const check::SentinelStats st = sentinel.stats();
-  std::printf("sentinel: %llu samples, %llu offset checks, %llu violation(s)\n",
-              static_cast<unsigned long long>(st.samples),
-              static_cast<unsigned long long>(st.offset_checks),
-              static_cast<unsigned long long>(sentinel.violation_count()));
-  for (const auto& v : sentinel.violations())
-    std::printf("  !! %s\n", v.to_string().c_str());
-  return sentinel.clean();
-}
+/// --chaos=<plan>: one of stress::named_spec's plans on the Fig. 5 tree, run
+/// by stress::Campaign under the sentinel with the plan's blackout windows
+/// (DESIGN.md §8). 'source' arms the multi-source hierarchy and the
+/// sentinel's UTC monitors (§13); 'gray' arms the per-port health watchdog
+/// (§15). Returns 0 when every probe reported, every class met its recovery
+/// contract, and the sentinel stayed clean.
+int run_chaos(const Options& o) {
+  stress::StressSpec spec = stress::named_spec(o.chaos, o.seed);
+  spec.threads = o.threads;
+  spec.bridged = o.bridged;
+  spec.hier_holdover_ceiling = o.holdover_ceiling;
+  spec.wd_check_period = o.wd_check_period;
+  spec.wd_backoff = o.wd_backoff;
+  const obs::SessionConfig oc = obs_config(o);
+  stress::Campaign campaign(spec, &oc);
+  const dtp::HealthWatchdog* watchdog = campaign.watchdog();
 
-/// --chaos=source: the canonical source-level campaign (DESIGN.md §13).
-/// A stratum-1 GPS source and a stratum-2 upstream-island source feed
-/// hierarchy clients on the Fig. 5 tree; the plan kills the GPS, makes it
-/// lie, partitions a subtree into holdover, and flaps the advertised
-/// stratum, with the sentinel's UTC monitors armed throughout.
-int run_source_chaos(const Options& o) {
-  sim::Simulator sim(o.seed);
-  if (o.bridged) sim.set_engine(sim::Simulator::EngineMode::kBridged);
-  net::Network net(sim, chaos::SourceCampaign::net_params());
-  auto tree = net::build_paper_tree(net);
-  auto dtp = dtp::enable_dtp(net, chaos::SourceCampaign::dtp_params());
-
-  dtp::TimeHierarchy hierarchy;
-  chaos::SourceCampaign::build_hierarchy(hierarchy, net, dtp, tree);
-  if (o.holdover_ceiling > 0)
-    for (const auto& c : hierarchy.clients()) c->set_holdover_ceiling(o.holdover_ceiling);
-  hierarchy.start();
-
-  check::Sentinel sentinel(net, dtp);
-  sentinel.set_hierarchy(&hierarchy);
-
-  std::unique_ptr<obs::Session> session;
-  if (obs_requested(o)) session = std::make_unique<obs::Session>(net, &dtp, obs_config(o));
-  chaos::ChaosEngine engine(net, dtp, chaos::SourceCampaign::chaos_params());
-  if (session) engine.set_obs(&session->hub());
-  engine.set_hierarchy(&hierarchy);
-
-  const fs_t t0 = chaos::SourceCampaign::settle_time();
-  const fs_t until = chaos::SourceCampaign::end_time(t0);
-  const auto [bo_from, bo_until] = chaos::SourceCampaign::island_blackout(t0);
-  sentinel.add_blackout(bo_from, bo_until);
-
-  std::printf("chaos plan=source on the Fig. 5 tree (stratum-1 GPS + stratum-2 "
-              "island), seed=%llu\n",
+  std::printf("chaos plan=%s on the Fig. 5 tree, seed=%llu\n", o.chaos.c_str(),
               static_cast<unsigned long long>(o.seed));
   if (o.holdover_ceiling > 0)
     std::printf("holdover refuse-to-serve ceiling: %s\n",
                 format_duration(o.holdover_ceiling).c_str());
-  if (session) session->start(until);
-  engage_threads(sim, o.threads);
-  engine.schedule(chaos::SourceCampaign::plan(tree, t0));
-  sim.run_until(until);
-  finish_obs(session.get(), o);
+  if (watchdog != nullptr)
+    std::printf("watchdog check=%s backoff=%s\n",
+                format_duration(watchdog->params().check_period).c_str(),
+                format_duration(watchdog->params().reinit_backoff).c_str());
+  const stress::CampaignResult r = campaign.run();
+  if (o.threads > 1) std::printf("parallel: threads=%u shards=%d\n", o.threads, r.shards);
+  announce_obs(o);
 
-  const chaos::CampaignReport& report = engine.report();
+  const chaos::CampaignReport& report = campaign.engine().report();
   report.print(std::cout);
-  const bool clean = report_sentinel(sentinel);
-  if (!engine.all_probes_done()) {
-    std::printf("verdict: FAIL (a probe never reported)\n");
-    return 1;
-  }
-  bool ok = clean && sentinel.stats().utc_checks > 0;
-  for (const auto& [cls, s] : report.by_class()) {
-    ok &= s.converged == s.n;
-    if (cls == "rogue_grandmaster") ok &= s.isolated;
-  }
-  std::printf("verdict: %s\n", ok ? "PASS" : "FAIL");
-  return ok ? 0 : 1;
-}
-
-/// --chaos=gray: the canonical gray-failure campaign (DESIGN.md §15).
-/// Four gray faults — asymmetric delay, limping port, silent corruption,
-/// frozen counter — hit the Fig. 5 tree under MTU load while the per-port
-/// health watchdog cross-validates siblings, gates beacon plausibility, and
-/// walks its escalation ladder. PASS requires every fault detected and
-/// remediated within the attempt ceiling and zero ports disabled.
-int run_gray_chaos(const Options& o) {
-  sim::Simulator sim(o.seed);
-  if (o.bridged) sim.set_engine(sim::Simulator::EngineMode::kBridged);
-  net::Network net(sim, chaos::GrayCampaign::net_params());
-  auto tree = net::build_paper_tree(net);
-  auto dtp = dtp::enable_dtp(net, chaos::GrayCampaign::dtp_params());
-  chaos::CanonicalCampaign::start_heavy_load(net, tree, net::kMtuFrameBytes);
-
-  dtp::WatchdogParams wp = chaos::GrayCampaign::watchdog_params();
-  if (o.wd_check_period > 0) wp.check_period = o.wd_check_period;
-  if (o.wd_backoff > 0) wp.reinit_backoff = o.wd_backoff;
-  dtp::HealthWatchdog watchdog(net, dtp, wp, o.seed);
-
-  check::Sentinel sentinel(net, dtp);
-  sentinel.set_watchdog(&watchdog);
-
-  std::unique_ptr<obs::Session> session;
-  if (obs_requested(o)) session = std::make_unique<obs::Session>(net, &dtp, obs_config(o));
-  if (session) watchdog.set_obs(&session->hub());
-  chaos::ChaosEngine engine(net, dtp, chaos::GrayCampaign::chaos_params());
-  if (session) engine.set_obs(&session->hub());
-
-  const fs_t t0 = chaos::GrayCampaign::settle_time();
-  const fs_t until = chaos::GrayCampaign::end_time(t0);
-  for (const auto& [from, bo_until] : chaos::GrayCampaign::blackouts(t0))
-    sentinel.add_blackout(from, bo_until);
-
-  std::printf("chaos plan=gray on the Fig. 5 tree, MTU-saturated, seed=%llu "
-              "(watchdog check=%s backoff=%s)\n",
-              static_cast<unsigned long long>(o.seed),
-              format_duration(wp.check_period).c_str(),
-              format_duration(wp.reinit_backoff).c_str());
-  if (session) session->start(until);
-  engage_threads(sim, o.threads);
-  engine.schedule(chaos::GrayCampaign::plan(tree, t0));
-  sim.run_until(until);
-  finish_obs(session.get(), o);
-
-  const chaos::CampaignReport& report = engine.report();
-  report.print(std::cout);
-  std::size_t remediated = 0;
-  for (std::size_t i = 0; i < watchdog.watch_count(); ++i) {
-    const dtp::WatchdogPortStats& ws = watchdog.watch_stats(i);
+  std::size_t remediated = 0;  // suspected watchdog ports that were quarantined
+  for (std::size_t i = 0; watchdog != nullptr && i < watchdog->watch_count(); ++i) {
+    const dtp::WatchdogPortStats& ws = watchdog->watch_stats(i);
     if (ws.suspects == 0) continue;
     if (ws.quarantines > 0) ++remediated;
     std::printf("  watchdog %s: %s suspects=%llu quarantines=%llu reinits=%llu "
                 "attempts=%d first-suspected=%.1f us\n",
-                watchdog.watch_label(i).c_str(),
-                dtp::to_string(watchdog.watch_health(i)),
+                watchdog->watch_label(i).c_str(), dtp::to_string(watchdog->watch_health(i)),
                 static_cast<unsigned long long>(ws.suspects),
                 static_cast<unsigned long long>(ws.quarantines),
                 static_cast<unsigned long long>(ws.reinits), ws.attempts,
                 to_ns_f(ws.first_suspected_at) / 1000.0);
   }
-  for (const auto& v : watchdog.verdicts())
-    std::printf("  verdict %s:%zu at %.1f us: %s\n", v.device.c_str(), v.port,
-                to_ns_f(v.at) / 1000.0, v.reason.c_str());
-  const bool clean = report_sentinel(sentinel);
-  if (!engine.all_probes_done()) {
+  if (watchdog != nullptr)
+    for (const auto& v : watchdog->verdicts())
+      std::printf("  verdict %s:%zu at %.1f us: %s\n", v.device.c_str(), v.port,
+                  to_ns_f(v.at) / 1000.0, v.reason.c_str());
+  std::printf("sentinel: %llu samples, %llu offset checks, %zu violation(s), digest=%s\n",
+              static_cast<unsigned long long>(r.sentinel_stats.samples),
+              static_cast<unsigned long long>(r.sentinel_stats.offset_checks),
+              r.violations.size(), r.digest.hex().c_str());
+  for (const auto& v : r.violations) std::printf("  !! %s\n", v.to_string().c_str());
+  if (!campaign.engine().all_probes_done()) {
     std::printf("verdict: FAIL (a probe never reported)\n");
     return 1;
   }
-  bool ok = clean && sentinel.stats().watchdog_checks > 0;
-  // Every gray fault injects on a distinct link, and remediation means its
-  // victim port walked the ladder: all four must have quarantined, and none
-  // may have escalated all the way to a disable.
-  ok &= remediated >= 4 && watchdog.total_disables() == 0;
-  for (const auto& [cls, s] : report.by_class()) ok &= s.converged == s.n;
-  std::printf("verdict: %s\n", ok ? "PASS" : "FAIL");
-  return ok ? 0 : 1;
-}
-
-/// --chaos: a fault-injection plan on the Fig. 5 tree under saturating MTU
-/// load, with the canonical campaign's DTP/chaos parameters, under the
-/// sentinel with one blackout window per fault (the window
-/// `stress::run_campaign` grants). Returns 0 when every probe reported,
-/// recovery matched the class's contract, and the sentinel stayed clean.
-int run_chaos(const Options& o) {
-  if (o.chaos == "source") return run_source_chaos(o);
-  if (o.chaos == "gray") return run_gray_chaos(o);
-  sim::Simulator sim(o.seed);
-  if (o.bridged) sim.set_engine(sim::Simulator::EngineMode::kBridged);
-  net::Network net(sim, chaos::CanonicalCampaign::net_params());
-  auto tree = net::build_paper_tree(net);
-  auto dtp = dtp::enable_dtp(net, chaos::CanonicalCampaign::dtp_params());
-  chaos::CanonicalCampaign::start_heavy_load(net, tree, net::kMtuFrameBytes);
-  std::unique_ptr<obs::Session> session;
-  if (obs_requested(o)) session = std::make_unique<obs::Session>(net, &dtp, obs_config(o));
-  chaos::ChaosEngine engine(net, dtp, chaos::CanonicalCampaign::chaos_params());
-  if (session) engine.set_obs(&session->hub());
-
-  const fs_t t0 = chaos::CanonicalCampaign::settle_time();
-  chaos::FaultPlan plan;
-  fs_t until = 0;
-  if (o.chaos == "canonical") {
-    plan = chaos::CanonicalCampaign::plan(tree, t0);
-    until = chaos::CanonicalCampaign::end_time(t0);
-  } else if (o.chaos == "flap") {
-    plan.add(chaos::FaultSpec::link_flap(*tree.leaves[0], *tree.aggs[0], t0, from_us(50)));
-    until = t0 + from_ms(2);
-  } else if (o.chaos == "storm") {
-    plan.add(chaos::FaultSpec::flap_storm(*tree.leaves[1], *tree.aggs[0], t0, 6,
-                                          from_us(150), from_us(60)));
-    until = t0 + from_ms(3);
-  } else if (o.chaos == "crash") {
-    plan.add(chaos::FaultSpec::node_crash(*tree.leaves[4], t0, from_us(400)));
-    until = t0 + from_ms(2);
-  } else if (o.chaos == "ber") {
-    plan.add(chaos::FaultSpec::ber_burst(*tree.leaves[3], *tree.aggs[1], t0,
-                                         from_ms(1) + from_us(500), 1e-5));
-    until = t0 + from_ms(3);
-  } else {  // rogue
-    plan.add(chaos::FaultSpec::rogue_oscillator(*tree.leaves[7], t0, 500.0, from_ms(6),
-                                                from_ms(2)));
-    until = t0 + from_ms(12);
-  }
-  check::Sentinel sentinel(net, dtp);
-  for (const chaos::FaultSpec& f : plan.faults)
-    sentinel.add_blackout(f.at - 2 * sentinel.params().sample_period,
-                          stress::fault_end(chaos::describe(f)) +
-                              stress::recovery_margin(f.kind));
-  std::printf("chaos plan=%s on the Fig. 5 tree, MTU-saturated, seed=%llu\n",
-              o.chaos.c_str(), static_cast<unsigned long long>(o.seed));
-  if (session) session->start(until);
-  engage_threads(sim, o.threads);
-  engine.schedule(plan);
-  sim.run_until(until);
-  finish_obs(session.get(), o);
-
-  const chaos::CampaignReport& report = engine.report();
-  report.print(std::cout);
-  const bool clean = report_sentinel(sentinel);
-  if (!engine.all_probes_done()) {
-    std::printf("verdict: FAIL (a probe never reported)\n");
-    return 1;
-  }
-  bool ok = clean;
+  bool ok = r.clean();
   for (const auto& [cls, s] : report.by_class()) {
-    if (cls == "rogue_oscillator")
-      ok &= s.isolated && s.converged == s.n;
-    else
-      ok &= s.converged == s.n && s.stall_ok;
+    ok &= s.converged == s.n;
+    if (cls == "rogue_oscillator" || cls == "rogue_grandmaster")
+      ok &= s.isolated;
+    else if (spec.preset == stress::Preset::kCanonical)
+      ok &= s.stall_ok;
   }
+  if (spec.hier) ok &= r.sentinel_stats.utc_checks > 0;
+  // Every gray fault injects on a distinct link, and remediation means its
+  // victim port walked the ladder: each must have quarantined, and none may
+  // have escalated all the way to a disable.
+  if (watchdog != nullptr)
+    ok &= r.sentinel_stats.watchdog_checks > 0 && remediated >= spec.faults.size() &&
+          watchdog->total_disables() == 0;
   std::printf("verdict: %s\n", ok ? "PASS" : "FAIL");
   return ok ? 0 : 1;
 }
@@ -752,7 +605,7 @@ int run_stress(const Options& o) {
     if (obs_requested(o)) {
       // Replay the failing campaign with observability attached so the repro
       // ships with an inspectable timeline of the violation.
-      stress::ObsOptions oo;
+      obs::SessionConfig oo;
       if (!o.trace.empty()) oo.trace_path = base + ".trace.json";
       if (!o.metrics.empty()) oo.metrics_path = base + ".metrics.json";
       oo.metrics_interval = o.metrics_interval;
@@ -784,12 +637,9 @@ int run_repro(const Options& o) {
   if (obs_requested(o)) {
     // Observability changes the event schedule (snapshot events), so the
     // differential serial-vs-parallel digest compare does not apply here.
-    stress::ObsOptions oo{o.trace, o.metrics, o.metrics_interval};
-    r = stress::run_campaign(spec, &oo);
-    if (!o.trace.empty())
-      std::printf("trace written to %s (load in ui.perfetto.dev or chrome://tracing)\n",
-                  o.trace.c_str());
-    if (!o.metrics.empty()) std::printf("metrics written to %s\n", o.metrics.c_str());
+    const obs::SessionConfig oc = obs_config(o);
+    r = stress::run_campaign(spec, &oc);
+    announce_obs(o);
   } else {
     r = spec.threads > 1 ? stress::run_differential(spec) : stress::run_campaign(spec);
   }
