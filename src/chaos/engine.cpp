@@ -107,7 +107,9 @@ void ChaosEngine::bring_link_up(Link& link) {
 void ChaosEngine::crash_node(net::Device& dev) {
   mark("fault:node_crash " + dev.name());
   // Agent first — an abrupt power-off does not gracefully observe its own
-  // links dying (no counter-reset bookkeeping on the corpse).
+  // links dying (no counter-reset bookkeeping on the corpse). A time
+  // server or client on the host goes dark with it: both hold the agent.
+  if (hierarchy_ != nullptr) hierarchy_->rebind(dev.name(), nullptr);
   dtp_.remove_agent(dev);
   for (Link& l : links_)
     if (l.dev_a == &dev || l.dev_b == &dev) take_link_down(l);
@@ -119,7 +121,8 @@ void ChaosEngine::restart_node(net::Device& dev) {
     if ((l.dev_a == &dev || l.dev_b == &dev) && !l.up) bring_link_up(l);
   // Fresh agent: counters at zero, INIT re-runs on every up link, and the
   // network counter is re-learned through BEACON-JOIN (Section 3.2).
-  dtp_.attach_agent(dev, params_.dtp);
+  dtp::Agent& agent = dtp_.attach_agent(dev, params_.dtp);
+  if (hierarchy_ != nullptr) hierarchy_->rebind(dev.name(), &agent);
 }
 
 ProbeSample ChaosEngine::neighbor_offsets(const std::vector<net::Device*>& affected) const {

@@ -64,7 +64,7 @@ UtcSourceServer::UtcSourceServer(sim::Simulator& sim, net::Host& host, Agent& ag
                                  TimeSourceParams params)
     : sim_(sim),
       host_(host),
-      agent_(agent),
+      agent_(&agent),
       params_(params),
       stratum_(params.stratum),
       rng_(sim.fork_rng(0x5B0CULL ^ host.addr().value ^
@@ -78,9 +78,9 @@ UtcSourceServer::UtcSourceServer(sim::Simulator& sim, net::Host& host, Agent& ag
   host_.nic().on_transmit = [this, prev_tx](net::Frame& f, fs_t tx_start) {
     if (f.ethertype == kEtherTypeSourceSync) {
       if (auto pkt = std::dynamic_pointer_cast<const SourceSyncPacket>(f.packet)) {
-        if (pkt->source_id == params_.source_id) {
+        if (pkt->source_id == params_.source_id && agent_ != nullptr) {
           auto* mut = const_cast<SourceSyncPacket*>(pkt.get());
-          mut->tx_dtp_counter = agent_.global_fractional_at(tx_start);
+          mut->tx_dtp_counter = agent_->global_fractional_at(tx_start);
           double utc = static_cast<double>(tx_start);
           if (params_.utc_error_ns > 0)
             utc += rng_.normal(0.0, params_.utc_error_ns) * static_cast<double>(kFsPerNs);
@@ -95,6 +95,7 @@ UtcSourceServer::UtcSourceServer(sim::Simulator& sim, net::Host& host, Agent& ag
 
 void UtcSourceServer::fire() {
   if (down_) return;  // reference lost: nothing worth advertising
+  if (agent_ == nullptr) return;  // host crashed: nothing to stamp with
   auto pkt = std::make_shared<SourceSyncPacket>();
   pkt->source_id = params_.source_id;
   pkt->source_kind = params_.kind;
@@ -114,7 +115,7 @@ void UtcSourceServer::fire() {
 // HierarchyClient
 
 HierarchyClient::HierarchyClient(net::Host& host, Agent& agent, HierarchyParams params)
-    : host_(host), agent_(agent), params_(params) {
+    : host_(host), agent_(&agent), params_(params) {
   auto prev = host_.on_hw_receive;
   host_.on_hw_receive = [this, prev](const net::Frame& f, fs_t hw_rx) {
     if (f.ethertype == kEtherTypeSourceSync) {
@@ -123,6 +124,13 @@ HierarchyClient::HierarchyClient(net::Host& host, Agent& agent, HierarchyParams 
     }
     if (prev) prev(f, hw_rx);
   };
+}
+
+void HierarchyClient::rebind(Agent* agent) {
+  agent_ = agent;
+  tracks_.clear();
+  selected_id_ = -1;
+  holdover_id_ = -1;
 }
 
 const SourceTrack* HierarchyClient::track(std::uint32_t id) const {
@@ -141,12 +149,12 @@ SourceTrack& HierarchyClient::track_for(const SourceSyncPacket& p) {
 }
 
 double HierarchyClient::tick_ns() const {
-  return to_ns_f(agent_.device().oscillator().nominal_period()) /
-         static_cast<double>(agent_.params().counter_delta);
+  return to_ns_f(agent_->device().oscillator().nominal_period()) /
+         static_cast<double>(agent_->params().counter_delta);
 }
 
 double HierarchyClient::extrapolate(const SourceTrack& t, fs_t now) const {
-  const double elapsed_units = agent_.global_fractional_at(now) - t.fix_counter;
+  const double elapsed_units = agent_->global_fractional_at(now) - t.fix_counter;
   return t.fix_utc + elapsed_units * tick_ns() * static_cast<double>(kFsPerNs);
 }
 
@@ -220,6 +228,7 @@ void HierarchyClient::observe_selection(const SourceTrack* best, fs_t now) {
 }
 
 void HierarchyClient::handle_sync(const net::Frame& f, fs_t hw_rx) {
+  if (agent_ == nullptr) return;  // host crashed: powered off
   auto pkt = std::dynamic_pointer_cast<const SourceSyncPacket>(f.packet);
   if (!pkt) return;
   ++syncs_;
@@ -228,7 +237,7 @@ void HierarchyClient::handle_sync(const net::Frame& f, fs_t hw_rx) {
   t.stratum = pkt->stratum;
   t.accuracy_ns = pkt->accuracy_ns;
 
-  const double rx_counter = agent_.global_fractional_at(hw_rx);
+  const double rx_counter = agent_->global_fractional_at(hw_rx);
   const double owd_units = rx_counter - pkt->tx_dtp_counter;
   const double est = static_cast<double>(pkt->utc_at_tx) +
                      owd_units * tick_ns() * static_cast<double>(kFsPerNs);
@@ -400,6 +409,13 @@ HierarchyClient* TimeHierarchy::client_on(const std::string& host_name) {
   for (auto& c : clients_)
     if (c->host().name() == host_name) return c.get();
   return nullptr;
+}
+
+void TimeHierarchy::rebind(const std::string& host_name, Agent* agent) {
+  for (auto& s : servers_)
+    if (s->host().name() == host_name) s->rebind(agent);
+  for (auto& c : clients_)
+    if (c->host().name() == host_name) c->rebind(agent);
 }
 
 void TimeHierarchy::set_obs(obs::Hub* hub) {

@@ -111,6 +111,11 @@ class UtcSourceServer {
   void start() { proc_.start(); }
   void stop() { proc_.stop(); }
 
+  /// Rebind to the host's DTP agent: null when the host crashes (the agent
+  /// is destroyed and the server goes dark — no broadcasts), the fresh agent
+  /// when it restarts.
+  void rebind(Agent* agent) { agent_ = agent; }
+
   // --- chaos controls -------------------------------------------------------
   /// Reference lost (GPS loss): broadcasts stop while down.
   void set_down(bool down) { down_ = down; }
@@ -132,7 +137,7 @@ class UtcSourceServer {
 
   sim::Simulator& sim_;
   net::Host& host_;
-  Agent& agent_;
+  Agent* agent_;  ///< null while the host is crashed (see rebind)
   TimeSourceParams params_;
   int stratum_;
   bool down_ = false;
@@ -248,6 +253,13 @@ class HierarchyClient {
   /// instants (the sink is internally locked, safe from the receive path).
   void set_obs(obs::Hub* hub) { hub_ = hub; }
 
+  /// Rebind to the host's DTP agent, cold: every source track is dropped,
+  /// because fixes are anchored to the old agent's counter. Null while the
+  /// host is crashed — the client ignores syncs and serves nothing (status
+  /// kAcquiring) until a restart rebinds it to the fresh agent. The serving
+  /// ratchet survives, so time served after the restart never steps back.
+  void rebind(Agent* agent);
+
  private:
   void handle_sync(const net::Frame& f, fs_t hw_rx);
   SourceTrack& track_for(const SourceSyncPacket& p);
@@ -265,7 +277,7 @@ class HierarchyClient {
   void observe_selection(const SourceTrack* best, fs_t now);
 
   net::Host& host_;
-  Agent& agent_;
+  Agent* agent_;  ///< null while the host is crashed (see rebind)
   HierarchyParams params_;
   std::vector<SourceTrack> tracks_;
 
@@ -309,6 +321,10 @@ class TimeHierarchy {
   /// Lookup by the hosting device's name (the chaos serialization key).
   UtcSourceServer* server_on(const std::string& host_name);
   HierarchyClient* client_on(const std::string& host_name);
+
+  /// Rebind every server and client on `host_name` to `agent` (null on a
+  /// node crash, the fresh agent on its restart).
+  void rebind(const std::string& host_name, Agent* agent);
 
   /// Attach observability: per-client holdover-uncertainty gauges,
   /// selection-change counters (pull probes, coordinator-evaluated) and

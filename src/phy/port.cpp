@@ -48,7 +48,7 @@ void PhyPort::request_control_slot(ControlFactory factory) {
 }
 
 void PhyPort::schedule_control_service() {
-  if (control_queue_.empty() || !link_up()) return;
+  if (control_queue_empty() || !link_up()) return;
   sim::ScopedAffinity aff(node_);
 
   const fs_t slot = osc_.next_edge_at_or_after(std::max(sim_.now(), line_free_));
@@ -66,7 +66,7 @@ void PhyPort::schedule_control_service() {
       slot,
       [this] {
         control_service_scheduled_ = false;
-        if (control_queue_.empty() || !link_up()) return;
+        if (control_queue_empty() || !link_up()) return;
         // Defensive: send_frame re-aims the service event whenever it claims
         // the line, so these retries should not trigger; they keep the port
         // correct if a future caller mutates the line without re-aiming.
@@ -81,8 +81,7 @@ void PhyPort::schedule_control_service() {
           return;
         }
         const std::int64_t tx_tick = osc_.tick_at(tx_start);
-        ControlFactory factory = std::move(control_queue_.front());
-        control_queue_.pop_front();
+        ControlFactory factory = pop_control();
         const std::uint64_t bits = factory(tx_start, tx_tick);
         if (probe_control_tx) probe_control_tx(bits, tx_start);
         const fs_t tx_end = osc_.edge_of_tick(tx_tick + 1);
@@ -94,8 +93,23 @@ void PhyPort::schedule_control_service() {
       sim::EventCategory::kFrame);
 }
 
+PhyPort::ControlFactory PhyPort::pop_control() {
+  ControlFactory factory = std::move(control_queue_[control_head_++]);
+  if (control_head_ == control_queue_.size()) {
+    control_queue_.clear();
+    control_head_ = 0;
+  } else if (control_head_ * 2 >= control_queue_.size()) {
+    // A queue that never fully drains (a saturated line) must not grow
+    // without bound: drop the consumed prefix once it is half the vector.
+    const auto consumed = static_cast<std::ptrdiff_t>(control_head_);
+    control_queue_.erase(control_queue_.begin(), control_queue_.begin() + consumed);
+    control_head_ = 0;
+  }
+  return factory;
+}
+
 bool PhyPort::control_slot_fusible(const void* tx_client) const {
-  if (!link_up() || !control_queue_.empty() || control_service_scheduled_)
+  if (!link_up() || !control_queue_empty() || control_service_scheduled_)
     return false;
   const fs_t now = sim_.now();
   if (line_free_ > now) return false;
@@ -144,7 +158,7 @@ void PhyPort::bridge_arrival(std::uint64_t bits56, fs_t wire_arrival, bool corru
     sim_.bridge_virtual_schedule(node_);
     sim_.bridge_virtual_fire(node_, sim::EventCategory::kFrame,
                              crossing.visible_time);
-    bridge_apply(ControlRx{bits56, wire_arrival, crossing, corrupted});
+    apply_control(ControlRx{bits56, wire_arrival, crossing, corrupted});
     return;
   }
   sim::EventQueue::BridgeStep step;
@@ -163,11 +177,11 @@ void PhyPort::bridge_arrival(std::uint64_t bits56, fs_t wire_arrival, bool corru
 void PhyPort::bridge_apply_step(void* client, const sim::EventQueue::BridgeStep& s,
                                 fs_t t) {
   const CrossingResult crossing{s.c, t, static_cast<int>(s.d & 1)};
-  static_cast<PhyPort*>(client)->bridge_apply(
+  static_cast<PhyPort*>(client)->apply_control(
       ControlRx{s.a, s.b, crossing, (s.d & 2) != 0});
 }
 
-void PhyPort::bridge_apply(const ControlRx& rx) {
+void PhyPort::apply_control(const ControlRx& rx) {
   if (probe_control_rx) probe_control_rx(rx);
   if (on_control) on_control(rx);
 }
@@ -199,12 +213,15 @@ void PhyPort::deliver_control(std::uint64_t bits56, fs_t tx_end, bool corrupted)
   ++fifo_crossings_;
   fifo_extra_cycles_ += static_cast<std::uint64_t>(crossing.random_extra);
   sim::ScopedAffinity aff(node_);
+  // Capture only what now() cannot rebuild — the event fires at the
+  // crossing's visible edge — so the closure fits Callback's inline buffer.
+  const std::int64_t visible_tick = crossing.visible_tick;
+  const std::int32_t flags = (crossing.random_extra & 1) | (corrupted ? 2 : 0);
   sim_.schedule_at(
       crossing.visible_time,
-      [this, bits56, wire_arrival, crossing, corrupted] {
-        const ControlRx rx{bits56, wire_arrival, crossing, corrupted};
-        if (probe_control_rx) probe_control_rx(rx);
-        if (on_control) on_control(rx);
+      [this, bits56, wire_arrival, visible_tick, flags] {
+        const CrossingResult crossing{visible_tick, sim_.now(), flags & 1};
+        apply_control(ControlRx{bits56, wire_arrival, crossing, (flags & 2) != 0});
       },
       sim::EventCategory::kFrame);
 }

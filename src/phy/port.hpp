@@ -26,7 +26,6 @@
 /// control payloads and frames (Section 3.2 "Handling failures").
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -129,13 +128,16 @@ class PhyPort {
   void fuse_fire_control(const ControlFactory& factory);
 
   /// Number of factories waiting for an idle block.
-  std::size_t pending_control() const { return control_queue_.size(); }
+  std::size_t pending_control() const { return control_queue_.size() - control_head_; }
 
   /// Discard every queued control factory. Required when the layer that
   /// queued them is being destroyed (the factories capture it): an agent
   /// torn down mid-run (node crash) must not leave callbacks into freed
   /// protocol state waiting for an idle block.
-  void clear_pending_control() { control_queue_.clear(); }
+  void clear_pending_control() {
+    control_queue_.clear();
+    control_head_ = 0;
+  }
 
   /// Earliest time a new frame may start serializing (IPG respected).
   fs_t frame_clear_time() const;
@@ -192,6 +194,9 @@ class PhyPort {
   void deliver_control(std::uint64_t bits56, fs_t tx_end, bool corrupted);
   void deliver_frame(FrameRx rx);
   void schedule_control_service();
+  bool control_queue_empty() const { return control_head_ == control_queue_.size(); }
+  /// Take the oldest queued factory (the queue must not be empty).
+  ControlFactory pop_control();
 
   // Bridged-step trampolines and bodies. The arrival step replaces the link
   // delivery event (CDC crossing at the wire-arrival instant); the apply
@@ -203,7 +208,9 @@ class PhyPort {
   static void bridge_apply_step(void* client,
                                 const sim::EventQueue::BridgeStep& s, fs_t t);
   void bridge_arrival(std::uint64_t bits56, fs_t wire_arrival, bool corrupted);
-  void bridge_apply(const ControlRx& rx);
+  /// Hand a visible control block to the probe and the upper layer (the
+  /// body of the CDC visibility event, exact or bridged).
+  void apply_control(const ControlRx& rx);
 
   sim::Simulator& sim_;
   Oscillator& osc_;
@@ -217,7 +224,12 @@ class PhyPort {
   fs_t line_free_ = 0;      ///< end of the last serialized block
   fs_t frame_allowed_ = 0;  ///< line_free_ plus any outstanding IPG
   fs_t last_link_up_at_ = 0;
-  std::deque<ControlFactory> control_queue_;
+  /// FIFO of control factories: consumed entries ahead of `control_head_`
+  /// are compacted away as the queue drains. A vector, unlike a deque,
+  /// allocates nothing until the first request, and most ports never
+  /// queue more than one.
+  std::vector<ControlFactory> control_queue_;
+  std::size_t control_head_ = 0;
   bool control_service_scheduled_ = false;
   fs_t control_service_at_ = 0;             ///< slot the service event is armed for
   sim::EventHandle control_service_event_;  ///< so a busied line can move it

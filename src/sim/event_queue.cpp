@@ -18,27 +18,27 @@ const char* category_name(EventCategory cat) {
   return "?";
 }
 
-EventQueue::Handle EventQueue::schedule(fs_t t, Callback fn, EventCategory cat,
+EventQueue::Handle EventQueue::schedule(fs_t t, Callback&& fn, EventCategory cat,
                                         std::int32_t node, const void* owner) {
   ++scheduled_;
   return insert(t, std::move(fn), cat, node, owner,
                 node_class_key(next_seq_++, node >= 0));
 }
 
-EventQueue::Handle EventQueue::schedule_link(fs_t t, Callback fn, EventCategory cat,
+EventQueue::Handle EventQueue::schedule_link(fs_t t, Callback&& fn, EventCategory cat,
                                              std::int32_t node, const void* owner,
                                              std::uint64_t link_sub) {
   ++scheduled_;
   return insert(t, std::move(fn), cat, node, owner, link_class_key(link_sub));
 }
 
-EventQueue::Handle EventQueue::schedule_migrated(fs_t t, Callback fn, EventCategory cat,
-                                                 std::int32_t node, const void* owner,
-                                                 std::uint64_t key) {
+EventQueue::Handle EventQueue::schedule_migrated(fs_t t, Callback&& fn,
+                                                 EventCategory cat, std::int32_t node,
+                                                 const void* owner, std::uint64_t key) {
   return insert(t, std::move(fn), cat, node, owner, key);
 }
 
-EventQueue::Handle EventQueue::insert(fs_t t, Callback fn, EventCategory cat,
+EventQueue::Handle EventQueue::insert(fs_t t, Callback&& fn, EventCategory cat,
                                       std::int32_t node, const void* owner,
                                       std::uint64_t key) {
   if (t < now_) throw std::logic_error("EventQueue: scheduling into the past");
@@ -48,40 +48,35 @@ EventQueue::Handle EventQueue::insert(fs_t t, Callback fn, EventCategory cat,
   s.fn = std::move(fn);
   s.cat = cat;
   s.node = node;
+  s.queued = true;
   owners_[slot] = owner;
-  heap_push(HeapEntry{t, key, slot});
-  if (heap_.size() + bheap_.size() > peak_pending_)
-    peak_pending_ = heap_.size() + bheap_.size();
+  heap_push(HeapEntry{t, key, slot, s.gen});
+  const std::size_t depth = ++live_ + bheap_.size();
+  if (depth > peak_pending_) peak_pending_ = depth;
   return Handle{slot, s.gen};
 }
 
 bool EventQueue::cancel(Handle h) {
   if (!h.valid() || h.slot >= slot_count_) return false;
-  Slot& s = slot_at(h.slot);
-  if (s.gen != h.gen || s.heap_pos == kNoHeapPos) return false;
-  heap_remove(s.heap_pos);
-  release_slot(h.slot);
-  ++cancelled_;
+  const Slot& s = slot_at(h.slot);
+  if (s.gen != h.gen || !s.queued) return false;
+  drop(h.slot);
+  settle();
   return true;
 }
 
 std::size_t EventQueue::purge_owner(const void* owner) {
   if (owner == nullptr) return 0;
   std::size_t purged = 0;
-  // Scan the owner array rather than the heap: heap_remove reorders entries
-  // under a positional scan, which can move a not-yet-visited entry behind
-  // the cursor and skip it. The tags live out-of-line precisely so this scan
-  // strides 8 bytes per slot instead of a cache line.
+  // The tags live out-of-line precisely so this scan strides 8 bytes per
+  // slot instead of a cache line. A slot whose event is firing right now is
+  // no longer queued and is skipped.
   for (std::uint32_t slot = 0; slot < slot_count_; ++slot) {
-    if (owners_[slot] != owner) continue;
-    Slot& s = slot_at(slot);
-    if (s.heap_pos != kNoHeapPos) {
-      heap_remove(s.heap_pos);
-      release_slot(slot);
-      ++cancelled_;
-      ++purged;
-    }
+    if (owners_[slot] != owner || !slot_at(slot).queued) continue;
+    drop(slot);
+    ++purged;
   }
+  if (purged != 0) settle();
   for (std::uint32_t idx = 0; idx < bridge_slots_.size(); ++idx) {
     BridgeSlot& s = bridge_slots_[idx];
     if (s.heap_pos != kNoHeapPos && s.step.owner == owner) {
@@ -92,6 +87,35 @@ std::size_t EventQueue::purge_owner(const void* owner) {
     }
   }
   return purged;
+}
+
+void EventQueue::drop(std::uint32_t slot) {
+  Slot& s = slot_at(slot);
+  s.queued = false;
+  recycle(slot, ++s.gen != 0);
+  --live_;
+  ++stale_;
+  ++cancelled_;
+}
+
+void EventQueue::settle() {
+  if (stale_ > live_ && stale_ > kCompactFloor) {
+    compact();
+  } else {
+    skip_stale();
+  }
+}
+
+void EventQueue::compact() {
+  std::size_t n = 0;
+  for (const HeapEntry& e : heap_)
+    if (live(e)) heap_[n++] = e;
+  heap_.resize(n);
+  stale_ = 0;
+  // Floyd's bottom-up heapify. The pop order is fixed by the (time, key)
+  // total order, not by the heap's shape, so a rebuild is unobservable.
+  if (n > 1)
+    for (std::size_t i = (n - 2) / kArity + 1; i-- > 0;) sift_down(i, heap_[i]);
 }
 
 std::uint64_t EventQueue::run(fs_t horizon, bool inclusive) {
@@ -143,22 +167,25 @@ bool EventQueue::fire_one() {
 }
 
 void EventQueue::fire_top() {
-  const HeapEntry top = heap_pop_top();
+  const HeapEntry top = heap_.front();
+  heap_pop_top();
+  skip_stale();
   Slot& s = slot_at(top.slot);
-  // Move the callback out and retire the slot *before* invoking: the
-  // callback may cancel its own (now stale) handle or schedule into this
-  // slot's successor generation.
-  Callback fn = std::move(s.fn);
-  const auto cat = static_cast<std::size_t>(s.cat);
-  const std::int32_t node = s.node;
-  release_slot(top.slot);
+  // Retire the handle before invoking: the callback may cancel its own (now
+  // stale) handle, and is_pending() already reports it gone. The callback
+  // then runs in place — slots never move and this one is not on the free
+  // list yet, so whatever it schedules lands in other slots.
+  s.queued = false;
+  const bool reusable = ++s.gen != 0;
+  --live_;
   now_ = top.time;
   ++executed_;
-  ++executed_by_category_[cat];
+  ++executed_by_category_[static_cast<std::size_t>(s.cat)];
   const std::int32_t prev_affinity = detail::tls_affinity;
-  detail::tls_affinity = node;
-  fn();
+  detail::tls_affinity = s.node;
+  s.fn();
   detail::tls_affinity = prev_affinity;
+  recycle(top.slot, reusable);
 }
 
 void EventQueue::fire_bridge_top() {
@@ -210,7 +237,7 @@ std::uint64_t EventQueue::bridge_insert(fs_t t, std::uint64_t key,
         NodePending{t, step.client, idx, step.kind});
   }
   bheap_push(BridgeEntry{t, key, idx});
-  const std::size_t depth = heap_.size() + bheap_.size();
+  const std::size_t depth = live_ + bheap_.size();
   if (depth > peak_pending_) peak_pending_ = depth;
   return s.token;
 }
@@ -366,9 +393,13 @@ void EventQueue::bsift_down(std::size_t pos, BridgeEntry e) {
 }
 
 std::vector<EventQueue::Extracted> EventQueue::extract_node_events() {
-  std::vector<HeapEntry> entries(heap_.begin(), heap_.end());
+  std::vector<HeapEntry> entries;
+  entries.reserve(live_);
+  for (const HeapEntry& e : heap_)
+    if (live(e)) entries.push_back(e);
   std::sort(entries.begin(), entries.end(), earlier);
   heap_.clear();
+  stale_ = 0;
   std::vector<Extracted> out;
   for (const HeapEntry& e : entries) {
     Slot& s = slot_at(e.slot);
@@ -377,11 +408,12 @@ std::vector<EventQueue::Extracted> EventQueue::extract_node_events() {
       // slot and generation are untouched, so handles remain valid).
       heap_push(e);
     } else {
-      s.heap_pos = kNoHeapPos;
+      s.queued = false;
+      --live_;
       out.push_back(Extracted{e.time, e.key, s.node, s.cat, owners_[e.slot],
                               std::move(s.fn), e.slot});
       owners_[e.slot] = nullptr;  // the tag moves with the event
-      // Slot intentionally not released — see header comment.
+      // Slot intentionally not recycled — see header comment.
     }
   }
   return out;
@@ -404,7 +436,7 @@ void EventQueue::accumulate(SimStats& st) const {
   st.cancelled += cancelled_;
   for (std::size_t i = 0; i < kEventCategoryCount; ++i)
     st.executed_by_category[i] += executed_by_category_[i];
-  st.pending += heap_.size() + bheap_.size();
+  st.pending += live_ + bheap_.size();
   st.peak_pending += peak_pending_;
   st.fused += fused_;
   st.callback_spills += callback_spills_;
@@ -424,14 +456,10 @@ std::uint32_t EventQueue::acquire_slot() {
   return slot_count_++;
 }
 
-void EventQueue::release_slot(std::uint32_t slot) {
-  Slot& s = slot_at(slot);
-  s.fn = Callback();
-  s.heap_pos = kNoHeapPos;
-  s.node = -1;
+void EventQueue::recycle(std::uint32_t slot, bool reusable) {
+  slot_at(slot).fn.reset();
   owners_[slot] = nullptr;
-  if (++s.gen == 0) ++s.gen;  // generation 0 is reserved for invalid handles
-  free_slots_.push_back(slot);
+  if (reusable) free_slots_.push_back(slot);
 }
 
 void EventQueue::heap_push(HeapEntry e) {
@@ -439,36 +467,20 @@ void EventQueue::heap_push(HeapEntry e) {
   sift_up(heap_.size() - 1, e);
 }
 
-EventQueue::HeapEntry EventQueue::heap_pop_top() {
-  const HeapEntry top = heap_.front();
-  slot_at(top.slot).heap_pos = kNoHeapPos;
+void EventQueue::heap_pop_top() {
   const HeapEntry last = heap_.back();
   heap_.pop_back();
   if (!heap_.empty()) sift_down(0, last);
-  return top;
-}
-
-void EventQueue::heap_remove(std::uint32_t pos) {
-  slot_at(heap_[pos].slot).heap_pos = kNoHeapPos;
-  const HeapEntry last = heap_.back();
-  heap_.pop_back();
-  if (pos == heap_.size()) return;  // removed the tail
-  // Re-seat `last` at pos: it may need to move either direction.
-  if (pos > 0 && earlier(last, heap_[(pos - 1) / kArity])) {
-    sift_up(pos, last);
-  } else {
-    sift_down(pos, last);
-  }
 }
 
 void EventQueue::sift_up(std::size_t pos, HeapEntry e) {
   while (pos > 0) {
     const std::size_t parent = (pos - 1) / kArity;
     if (!earlier(e, heap_[parent])) break;
-    place(pos, heap_[parent]);
+    heap_[pos] = heap_[parent];
     pos = parent;
   }
-  place(pos, e);
+  heap_[pos] = e;
 }
 
 void EventQueue::sift_down(std::size_t pos, HeapEntry e) {
@@ -481,10 +493,10 @@ void EventQueue::sift_down(std::size_t pos, HeapEntry e) {
     for (std::size_t c = first_child + 1; c < last_child; ++c)
       if (earlier(heap_[c], heap_[best])) best = c;
     if (!earlier(heap_[best], e)) break;
-    place(pos, heap_[best]);
+    heap_[pos] = heap_[best];
     pos = best;
   }
-  place(pos, e);
+  heap_[pos] = e;
 }
 
 }  // namespace dtpsim::sim

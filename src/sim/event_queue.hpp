@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file event_queue.hpp
-/// One event queue: a slab of generation-counted slots addressed by an
-/// indexed 4-ary min-heap.
+/// One event queue: a slab of generation-counted slots addressed by a 4-ary
+/// min-heap of generation-stamped entries.
 ///
 /// The serial simulator owns exactly one of these; the parallel engine owns
 /// one per shard plus the coordinator's global queue (see parallel.hpp). A
@@ -123,8 +123,11 @@ class EventQueue {
   void advance_now(fs_t t) {
     if (t > now_) now_ = t;
   }
-  bool empty() const { return heap_.empty() && bheap_.empty(); }
-  std::size_t size() const { return heap_.size() + bheap_.size(); }
+  bool empty() const { return live_ == 0 && bheap_.empty(); }
+  std::size_t size() const { return live_ + bheap_.size(); }
+  /// Earliest pending time. The exact heap's front is always a live entry
+  /// (stale ones are dropped as they surface), so this never reports a
+  /// cancelled event.
   fs_t next_time() const {
     fs_t t = heap_.empty() ? kNoEventTime : heap_.front().time;
     if (!bheap_.empty() && bheap_.front().time < t) t = bheap_.front().time;
@@ -134,26 +137,29 @@ class EventQueue {
   /// Schedule with an automatic (class, sequence) key. `node` is the device
   /// the event belongs to (-1 = global); `owner` tags the event for
   /// purge_owner (cable deliveries pass the Cable).
-  Handle schedule(fs_t t, Callback fn, EventCategory cat, std::int32_t node,
+  Handle schedule(fs_t t, Callback&& fn, EventCategory cat, std::int32_t node,
                   const void* owner);
 
   /// Schedule a link delivery with an explicit class-2 subkey (edge
   /// direction id << 32 | per-direction message index).
-  Handle schedule_link(fs_t t, Callback fn, EventCategory cat, std::int32_t node,
+  Handle schedule_link(fs_t t, Callback&& fn, EventCategory cat, std::int32_t node,
                        const void* owner, std::uint64_t link_sub);
 
   /// Re-insert an event extracted from another queue, preserving its
   /// original key (and therefore its tie order). Does not count toward
   /// `scheduled` — the original schedule call already did.
-  Handle schedule_migrated(fs_t t, Callback fn, EventCategory cat, std::int32_t node,
-                           const void* owner, std::uint64_t key);
+  Handle schedule_migrated(fs_t t, Callback&& fn, EventCategory cat,
+                           std::int32_t node, const void* owner, std::uint64_t key);
 
+  /// Cancel a pending event: retire its handle and free its slot (and
+  /// callback) at once; the heap entry goes stale and is dropped when it
+  /// surfaces or at the next compaction. O(1) unless the entry was the front.
   bool cancel(Handle h);
 
   bool is_pending(Handle h) const {
     if (!h.valid() || h.slot >= slot_count_) return false;
     const Slot& s = slot_at(h.slot);
-    return s.gen == h.gen && s.heap_pos != kNoHeapPos;
+    return s.gen == h.gen && s.queued;
   }
 
   /// Remove (and count as cancelled) every pending event tagged with
@@ -303,23 +309,30 @@ class EventQueue {
   void accumulate(SimStats& st) const;
 
  private:
-  static constexpr std::uint32_t kNoHeapPos = 0xFFFFFFFFu;
+  static constexpr std::uint32_t kNoHeapPos = 0xFFFFFFFFu;  // bridge slab only
   static constexpr std::size_t kArity = 4;  // 4-ary heap: shallow, cache-friendly
+  /// Stale entries tolerated before a rebuild: the heap is compacted once
+  /// stale entries outnumber both the live ones and this floor, so beyond
+  /// the floor it never holds more than twice its live entries — at most
+  /// one extra level of a 4-ary heap.
+  static constexpr std::size_t kCompactFloor = 64;
 
   /// One slab entry, exactly one 64-byte cache line: the callback (40-byte
   /// inline buffer + ops pointer) first, then the hot bookkeeping words a
   /// fire/cancel touches. The generation counter advances every time the
-  /// slot is released (event fired or cancelled), invalidating outstanding
-  /// handles. Cold metadata lives out of line: the purge_owner tag is in
+  /// event is retired (fired or cancelled), invalidating outstanding handles
+  /// and the heap entry that pointed here; a slot whose 32-bit generation
+  /// runs out is retired for good rather than wrapped, so neither can ever
+  /// alias a later event. `queued` is set while the slot's event waits in
+  /// the heap. Cold metadata lives out of line: the purge_owner tag is in
   /// `owners_`, so an owner purge scans an 8-byte-stride array instead of
-  /// dragging whole slots through cache (and every slot gains 16 bytes over
-  /// the old inline layout — 80 down to 64).
+  /// dragging whole slots through cache.
   struct Slot {
     Callback fn;
     std::uint32_t gen = 1;
-    std::uint32_t heap_pos = kNoHeapPos;
     std::int32_t node = -1;
     EventCategory cat = EventCategory::kGeneric;
+    bool queued = false;
   };
   static_assert(sizeof(Slot) == 64, "event slot must stay one cache line");
 
@@ -346,12 +359,19 @@ class EventQueue {
   }
 
   /// Heap entries carry the full sort key so sift comparisons never chase a
-  /// pointer into the slab; they are trivially copyable (moves are memcpy).
+  /// pointer into the slab, and the slot generation they were pushed under,
+  /// so liveness is one compare against the slot; sifts never write the
+  /// slab. Trivially copyable (moves are memcpy); `gen` fills what used to
+  /// be padding, so an entry stays 24 bytes.
   struct HeapEntry {
     fs_t time;
     std::uint64_t key;  // tie-break: (class, subkey) — see file comment
     std::uint32_t slot;
+    std::uint32_t gen;
   };
+  static_assert(sizeof(HeapEntry) == 24, "heap entry must stay 24 bytes");
+
+  bool live(const HeapEntry& e) const { return slot_at(e.slot).gen == e.gen; }
 
   static bool earlier(const HeapEntry& a, const HeapEntry& b) {
     if (a.time != b.time) return a.time < b.time;
@@ -391,19 +411,28 @@ class EventQueue {
     BridgeKind kind;
   };
 
-  Handle insert(fs_t t, Callback fn, EventCategory cat, std::int32_t node,
+  Handle insert(fs_t t, Callback&& fn, EventCategory cat, std::int32_t node,
                 const void* owner, std::uint64_t key);
   std::uint32_t acquire_slot();
-  void release_slot(std::uint32_t slot);
+  /// Destroy the slot's callback and return the slot to the free list
+  /// (unless its generations ran out). The caller already retired it.
+  void recycle(std::uint32_t slot, bool reusable);
+  /// Retire and recycle a pending event's slot, leaving its heap entry stale.
+  void drop(std::uint32_t slot);
+  /// Restore the live-front invariant after drops, compacting if due.
+  void settle();
+  void compact();
   void heap_push(HeapEntry e);
-  HeapEntry heap_pop_top();
-  void heap_remove(std::uint32_t pos);
+  void heap_pop_top();
+  /// Pop stale entries off the front until it is live (or the heap empty).
+  void skip_stale() {
+    while (stale_ != 0 && !heap_.empty() && !live(heap_.front())) {
+      heap_pop_top();
+      --stale_;
+    }
+  }
   void sift_up(std::size_t pos, HeapEntry e);
   void sift_down(std::size_t pos, HeapEntry e);
-  void place(std::size_t pos, HeapEntry e) {
-    heap_[pos] = e;
-    slot_at(e.slot).heap_pos = static_cast<std::uint32_t>(pos);
-  }
   void fire_top();
 
   std::uint64_t bridge_insert(fs_t t, std::uint64_t key, const BridgeStep& step);
@@ -440,6 +469,8 @@ class EventQueue {
   std::vector<const void*> owners_;  ///< slot -> purge tag (cold, out-of-line)
   std::vector<std::uint32_t> free_slots_;
   std::vector<HeapEntry> heap_;
+  std::size_t live_ = 0;   ///< heap entries whose slot still holds their event
+  std::size_t stale_ = 0;  ///< heap entries retired by cancel, not yet popped
   std::unordered_map<std::uint32_t, Forward> forwards_;
   std::vector<BridgeSlot> bridge_slots_;
   std::vector<std::uint32_t> bridge_free_;

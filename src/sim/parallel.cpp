@@ -79,7 +79,7 @@ ParallelEngine::~ParallelEngine() {
 }
 
 void ParallelEngine::push_cross(std::int32_t src_shard, std::int32_t dst_shard,
-                                CrossMsg msg) {
+                                CrossMsg&& msg) {
   mailbox(src_shard, dst_shard)->push(std::move(msg));
 }
 
@@ -177,7 +177,7 @@ void ParallelEngine::run_plan_worker(ShardRt* rt) {
           n.done_epoch.wait(v, std::memory_order_acquire);
           v = n.done_epoch.load(std::memory_order_acquire);
         }
-        mailbox(nb, rt->index)->drain([rt](CrossMsg m) {
+        mailbox(nb, rt->index)->drain([rt](CrossMsg&& m) {
           rt->drain_scratch.push_back(std::move(m));
         });
       }
@@ -206,7 +206,7 @@ std::size_t ParallelEngine::drain_all_mailboxes() {
     for (std::int32_t i = 0; i < k; ++i) {
       Mailbox* box = i == j ? nullptr : mailbox(i, j);
       if (box == nullptr) continue;
-      box->drain([&dst](CrossMsg m) {
+      box->drain([&dst](CrossMsg&& m) {
         dst.drain_scratch.push_back(std::move(m));
       });
     }

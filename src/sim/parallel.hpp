@@ -72,7 +72,7 @@ class Mailbox {
   Mailbox& operator=(const Mailbox&) = delete;
 
   /// Producer side (the sending shard's worker, or the coordinator).
-  void push(CrossMsg msg) {
+  void push(CrossMsg&& msg) {
     if (write_idx_ == kChunkCap) {
       Chunk* n = take_spare();
       if (n == nullptr) n = new Chunk;
@@ -192,7 +192,7 @@ class ParallelEngine {
   const EventQueue& shard_queue(std::int32_t s) const { return shards_[s]->queue; }
 
   /// Enqueue a cross-shard delivery (sending worker or coordinator context).
-  void push_cross(std::int32_t src_shard, std::int32_t dst_shard, CrossMsg msg);
+  void push_cross(std::int32_t src_shard, std::int32_t dst_shard, CrossMsg&& msg);
 
   /// Execute [t0, horizon) across all shards in conservative epochs.
   /// Coordinator blocks until every worker finishes.

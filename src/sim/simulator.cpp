@@ -30,10 +30,11 @@ EventHandle Simulator::schedule_at(fs_t t, Callback fn, EventCategory cat) {
 
 EventHandle Simulator::schedule_in(fs_t dt, Callback fn, EventCategory cat) {
   if (dt < 0) throw std::logic_error("Simulator::schedule_in: negative delay");
-  return schedule_at(now() + dt, std::move(fn), cat);
+  if (!fn) throw std::invalid_argument("Simulator::schedule_at: empty callback");
+  return route_schedule(now() + dt, std::move(fn), cat, detail::tls_affinity);
 }
 
-EventHandle Simulator::route_schedule(fs_t t, Callback fn, EventCategory cat,
+EventHandle Simulator::route_schedule(fs_t t, Callback&& fn, EventCategory cat,
                                       std::int32_t node) {
   if (!engine_)
     return wrap(0, global_q_.schedule(t, std::move(fn), cat, node, nullptr));
@@ -323,7 +324,7 @@ ParallelStats Simulator::parallel_stats() const {
 }
 
 EventHandle Simulator::deliver_link(std::int32_t src_node, std::int32_t dst_node,
-                                    fs_t arrival, Callback fn, EventCategory cat,
+                                    fs_t arrival, Callback&& fn, EventCategory cat,
                                     const void* owner, std::uint64_t link_key) {
   if (!engine_ || dst_node < 0)
     return wrap(0, global_q_.schedule_link(arrival, std::move(fn), cat, dst_node,

@@ -141,8 +141,10 @@ class Simulator {
   EventHandle schedule_in(fs_t dt, Callback fn,
                           EventCategory cat = EventCategory::kGeneric);
 
-  /// Cancel a pending event: O(log n) removal from its queue. Returns true
-  /// iff the event was actually pending. Cancelling a default-constructed
+  /// Cancel a pending event: its callback is destroyed and its slot freed at
+  /// once, and the heap entry left behind is dropped lazily (O(1) unless the
+  /// event was next to fire; event_queue.hpp). Returns true iff the event
+  /// was actually pending. Cancelling a default-constructed
   /// handle, an already-fired event, an already-cancelled event, or the
   /// currently-executing event is a no-op returning false — a stale handle
   /// is detected by generation mismatch and records nothing.
@@ -168,8 +170,9 @@ class Simulator {
   /// Number of events executed so far (all queues).
   std::uint64_t events_executed() const;
 
-  /// Number of events currently pending (all queues). Exact: cancelled
-  /// events leave their queue immediately, so this can never underflow.
+  /// Number of events currently pending (all queues). Exact: each queue
+  /// keeps a live count that a cancel decrements at once, so stale heap
+  /// entries awaiting lazy removal are never counted.
   std::size_t events_pending() const;
 
   /// Instrumentation snapshot (counters, queue depth, throughput).
@@ -287,7 +290,7 @@ class Simulator {
   /// invalid handle when the delivery was routed through a cross-shard
   /// mailbox (cancellation then goes through purge_deliveries).
   EventHandle deliver_link(std::int32_t src_node, std::int32_t dst_node,
-                           fs_t arrival, Callback fn, EventCategory cat,
+                           fs_t arrival, Callback&& fn, EventCategory cat,
                            const void* owner, std::uint64_t link_key);
 
   /// Cancel every pending delivery tagged with `owner` across all queues
@@ -314,7 +317,8 @@ class Simulator {
   EventQueue& bridge_context_queue(std::int32_t node);
   const EventQueue& bridge_context_queue(std::int32_t node) const;
   /// Route a schedule call to the right queue for (affinity, context).
-  EventHandle route_schedule(fs_t t, Callback fn, EventCategory cat,
+  /// The callback is moved exactly once, into its slot.
+  EventHandle route_schedule(fs_t t, Callback&& fn, EventCategory cat,
                              std::int32_t node);
   /// Move pending device-affine events into their shard queues, leaving
   /// forwarders behind so outstanding handles stay cancellable.

@@ -54,7 +54,7 @@ struct RunConfig {
   bool chaos = true;    ///< link flap + BER burst mid-run
 };
 
-RunResult run_fig5(const RunConfig& cfg, std::uint64_t* fused_out = nullptr) {
+RunResult run_fig5(const RunConfig& cfg, SimStats* stats_out = nullptr) {
   Simulator sim(42);
   sim.set_engine(cfg.mode);
   net::NetworkParams np;
@@ -120,7 +120,7 @@ RunResult run_fig5(const RunConfig& cfg, std::uint64_t* fused_out = nullptr) {
   }
   for (const chaos::ProbeResult& pr : chaos_eng.report().results())
     r.verdicts.emplace_back(pr.fault_class, pr.converged, pr.reconverged_at);
-  if (fused_out != nullptr) *fused_out = st.fused;
+  if (stats_out != nullptr) *stats_out = st;
   return r;
 }
 
@@ -133,22 +133,37 @@ class EngineBridge : public ::testing::Test {
 };
 
 TEST_F(EngineBridge, ExactBaselineIsSaneAndNeverFuses) {
-  std::uint64_t fused = ~0ull;
-  const RunResult s = run_fig5({}, &fused);
+  SimStats st;
+  const RunResult s = run_fig5({}, &st);
   ASSERT_FALSE(s.offsets.empty());
   EXPECT_GT(s.executed, 100000u);
   EXPECT_EQ(s.verdicts.size(), 2u);
-  EXPECT_EQ(fused, 0u) << "exact mode must never take the fused path";
+  EXPECT_EQ(st.fused, 0u) << "exact mode must never take the fused path";
   EXPECT_EQ(s, exact_serial());
+}
+
+// Every exact event on the DTP control path (beacon timer, control service,
+// cable arrival, CDC visibility) and on the MTU frame path must fit the
+// Callback inline buffer: a spill is one heap allocation per event.
+TEST_F(EngineBridge, ExactFig5EventsNeverSpillCallbacks) {
+  for (const bool traffic : {false, true}) {
+    RunConfig cfg;
+    cfg.traffic = traffic;
+    cfg.chaos = false;
+    SimStats st;
+    const RunResult r = run_fig5(cfg, &st);
+    EXPECT_GT(r.executed, 100000u);
+    EXPECT_EQ(st.callback_spills, 0u) << (traffic ? "MTU-loaded" : "idle") << " tree";
+  }
 }
 
 TEST_F(EngineBridge, BridgedSerialMatchesExact) {
   RunConfig cfg;
   cfg.mode = Simulator::EngineMode::kBridged;
-  std::uint64_t fused = 0;
-  const RunResult b = run_fig5(cfg, &fused);
+  SimStats st;
+  const RunResult b = run_fig5(cfg, &st);
   EXPECT_EQ(b, exact_serial());
-  EXPECT_GT(fused, 0u) << "bridge never engaged; test is vacuous";
+  EXPECT_GT(st.fused, 0u) << "bridge never engaged; test is vacuous";
 }
 
 TEST_F(EngineBridge, BridgedTwoThreadsMatchesExactSerial) {
@@ -173,11 +188,11 @@ TEST_F(EngineBridge, QuietRunFusesMostControlTraffic) {
   exact.traffic = false;
   RunConfig bridged = exact;
   bridged.mode = Simulator::EngineMode::kBridged;
-  std::uint64_t fused = 0;
-  const RunResult b = run_fig5(bridged, &fused);
+  SimStats st;
+  const RunResult b = run_fig5(bridged, &st);
   const RunResult e = run_fig5(exact);
   EXPECT_EQ(b, e);
-  EXPECT_GT(fused, b.executed / 4)
+  EXPECT_GT(st.fused, b.executed / 4)
       << "quiet workload should fuse a large fraction of events";
 }
 

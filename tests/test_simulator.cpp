@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <compare>
+#include <set>
 #include <vector>
+
+#include "common/rng.hpp"
 
 namespace dtpsim::sim {
 namespace {
@@ -339,6 +344,270 @@ TEST(PeriodicProcess, StopThenRestart) {
   p.start();
   sim.run_until(65_ns);
   EXPECT_EQ(count, 3);
+}
+
+/// Differential oracle for the event engine. Random schedule / deliver /
+/// cancel / purge / step / run_until sequences run against a std::set of
+/// (time, class, subkey) keys — the firing order event_queue.hpp promises:
+/// global events, then node events, each in scheduling order, then link
+/// deliveries by link key. In serial mode every fire must pop the
+/// reference's front; cancel(), pending(), events_pending() and the stats
+/// counters must agree with the reference after every operation.
+class EngineOracle {
+ public:
+  static constexpr int kNodes = 4;
+
+  explicit EngineOracle(std::uint64_t seed) : rng_(seed) {}
+
+  Simulator& sim() { return sim_; }
+  std::size_t reference_size() const { return ref_.size(); }
+
+  /// Schedule under `node`'s affinity (-1 = global). Actions run when the
+  /// event fires (serial mode only): 1 cancels the event's own handle, 2
+  /// schedules a follow-up at the same instant, 3 cancels a random event.
+  int schedule(fs_t t, int node, int action) {
+    const int id = static_cast<int>(evs_.size());
+    evs_.push_back(Ev{Key{t, node >= 0 ? 1 : 0, next_seq_++, id}, node, action,
+                      nullptr, EventHandle()});
+    ScopedAffinity aff(node);
+    const EventHandle h = sim_.schedule_at(t, [this, id] { on_fire(id); });
+    evs_[static_cast<std::size_t>(id)].h = h;
+    added(id);
+    return id;
+  }
+
+  /// A link delivery to `dst`, tagged with `owner` for purge_deliveries.
+  int deliver(fs_t t, int dst, const void* owner) {
+    const int id = static_cast<int>(evs_.size());
+    const std::uint64_t sub = next_link_++;
+    evs_.push_back(Ev{Key{t, 2, sub, id}, dst, 0, owner, EventHandle()});
+    const EventHandle h = sim_.deliver_link(dst, dst, t, [this, id] { on_fire(id); },
+                                            EventCategory::kFrame, owner, sub);
+    evs_[static_cast<std::size_t>(id)].h = h;
+    added(id);
+    return id;
+  }
+
+  void cancel(int id) {
+    const Ev& e = evs_[static_cast<std::size_t>(id)];
+    const bool expected = ref_.count(e.key) != 0;
+    EXPECT_EQ(sim_.cancel(e.h), expected) << "event " << id;
+    if (expected) {
+      ref_.erase(e.key);
+      ++cancelled_;
+    }
+  }
+
+  void check_pending(int id) {
+    const Ev& e = evs_[static_cast<std::size_t>(id)];
+    EXPECT_EQ(sim_.pending(e.h), ref_.count(e.key) != 0) << "event " << id;
+  }
+
+  void purge(const void* owner) {
+    std::size_t expected = 0;
+    for (auto it = ref_.begin(); it != ref_.end();) {
+      if (evs_[static_cast<std::size_t>(it->id)].owner == owner) {
+        it = ref_.erase(it);
+        ++expected;
+      } else {
+        ++it;
+      }
+    }
+    EXPECT_EQ(sim_.purge_deliveries(owner), expected);
+    cancelled_ += expected;
+  }
+
+  void run_until(fs_t t) {
+    if (!sim_.parallel()) {
+      sim_.run_until(t);
+    } else {
+      // Workers record per node; the reference is popped afterwards. Each
+      // node's events run on one shard, in that shard's key order.
+      while (!ref_.empty() && ref_.begin()->t <= t) {
+        const Ev& e = evs_[static_cast<std::size_t>(ref_.begin()->id)];
+        expected_by_node_[static_cast<std::size_t>(e.node + 1)].push_back(e.key.id);
+        ref_.erase(ref_.begin());
+      }
+      sim_.run_until(t);
+      for (int n = 0; n <= kNodes; ++n)
+        EXPECT_EQ(fired_by_node_[static_cast<std::size_t>(n)],
+                  expected_by_node_[static_cast<std::size_t>(n)])
+            << "node " << n - 1;
+    }
+    EXPECT_EQ(sim_.now(), t);
+    EXPECT_TRUE(ref_.empty() || ref_.begin()->t > t);
+  }
+
+  void step() { EXPECT_EQ(sim_.step(), !ref_.empty()); }
+
+  void check_counts() {
+    EXPECT_EQ(sim_.events_pending(), ref_.size());
+    const SimStats st = sim_.stats();
+    EXPECT_EQ(st.pending, ref_.size());
+    EXPECT_EQ(st.scheduled, evs_.size());
+    EXPECT_EQ(st.cancelled, cancelled_);
+    if (!sim_.parallel()) {
+      EXPECT_EQ(st.peak_pending, peak_);
+    }
+  }
+
+  /// One random operation; `spread` bounds how far ahead events land.
+  void random_op(fs_t spread) {
+    const fs_t now = sim_.now();
+    const auto pick = [this] {
+      return static_cast<int>(rng_.uniform(evs_.size()));
+    };
+    const std::uint64_t op = rng_.uniform(100);
+    const bool serial = !sim_.parallel();
+    if (op < 35) {
+      // Zero offsets exercise same-instant scheduling.
+      const fs_t dt = rng_.bernoulli(0.2) ? 0 : rng_.uniform_range(1, spread);
+      schedule(now + dt, static_cast<int>(rng_.uniform(kNodes + 1)) - 1,
+               serial ? static_cast<int>(rng_.uniform(4)) : 0);
+    } else if (op < 45) {
+      deliver(now + rng_.uniform_range(0, spread), static_cast<int>(rng_.uniform(kNodes)),
+              &owners_[rng_.uniform(2)]);
+    } else if (op < 65) {
+      if (!evs_.empty()) cancel(pick());
+    } else if (op < 68) {
+      purge(&owners_[rng_.uniform(2)]);
+    } else if (op < 78) {
+      if (!evs_.empty()) check_pending(pick());
+    } else if (op < 93 || !serial) {
+      run_until(now + rng_.uniform_range(0, spread / 2));
+    } else {
+      step();
+    }
+    check_counts();
+  }
+
+  void set_up_graph() {
+    for (int n = 0; n < kNodes; ++n) sim_.register_node();
+    // Two tight pairs joined by one long cable: a 2-way split cuts only it.
+    sim_.register_edge(0, 1, from_ns(10));
+    sim_.register_edge(2, 3, from_ns(10));
+    sim_.register_edge(1, 2, from_us(1));
+  }
+
+ private:
+  struct Key {
+    fs_t t;
+    int cls;
+    std::uint64_t sub;
+    int id;
+    auto operator<=>(const Key&) const = default;
+  };
+  struct Ev {
+    Key key;
+    int node;
+    int action;
+    const void* owner;
+    EventHandle h;
+  };
+
+  void added(int id) {
+    ref_.insert(evs_[static_cast<std::size_t>(id)].key);
+    peak_ = std::max(peak_, ref_.size());
+  }
+
+  void on_fire(int id) {
+    const Ev& e = evs_[static_cast<std::size_t>(id)];
+    if (sim_.parallel()) {
+      fired_by_node_[static_cast<std::size_t>(e.node + 1)].push_back(id);
+      return;
+    }
+    EXPECT_EQ(sim_.now(), e.key.t);
+    if (ref_.empty() || ref_.begin()->id != id) {
+      ADD_FAILURE() << "event " << id << " fired out of order";
+      ref_.erase(e.key);
+    } else {
+      ref_.erase(ref_.begin());
+    }
+    EXPECT_FALSE(sim_.pending(e.h)) << "a firing event is no longer pending";
+    switch (e.action) {
+      case 1:
+        EXPECT_FALSE(sim_.cancel(e.h)) << "cancelling the firing event is a no-op";
+        break;
+      case 2:
+        schedule(sim_.now(), e.node, 0);
+        break;
+      case 3:
+        cancel(static_cast<int>(rng_.uniform(evs_.size())));
+        break;
+      default:
+        break;
+    }
+  }
+
+  Simulator sim_{7};
+  Rng rng_;
+  std::vector<Ev> evs_;
+  std::set<Key> ref_;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t next_link_ = 0;
+  std::uint64_t cancelled_ = 0;
+  std::size_t peak_ = 0;
+  std::array<char, 2> owners_{};
+  std::array<std::vector<int>, kNodes + 1> fired_by_node_{};
+  std::array<std::vector<int>, kNodes + 1> expected_by_node_{};
+};
+
+TEST(EngineOracle, RandomSerialSequencesMatchReference) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    EngineOracle o(seed);
+    for (int i = 0; i < 4000 && !::testing::Test::HasFailure(); ++i)
+      o.random_op(from_ns(200));
+    o.sim().run();
+    EXPECT_EQ(o.reference_size(), 0u) << "seed " << seed;
+    o.check_counts();
+  }
+}
+
+TEST(EngineOracle, MassCancelCompactsWithoutChangingOrder) {
+  // Far-future events cancelled in bulk go stale faster than they surface,
+  // so the heap is rebuilt from its live entries; order must not change.
+  EngineOracle o(11);
+  Rng pick(5);
+  for (int round = 0; round < 3; ++round) {
+    const fs_t base = o.sim().now() + from_us(5);
+    std::vector<int> ids;
+    for (int i = 0; i < 400; ++i)
+      ids.push_back(o.schedule(base + static_cast<fs_t>(pick.uniform(1000)) * from_ns(1),
+                               static_cast<int>(pick.uniform(5)) - 1,
+                               static_cast<int>(pick.uniform(4))));
+    for (int i = 0; i < 400; ++i)
+      if (pick.bernoulli(0.85)) o.cancel(ids[static_cast<std::size_t>(i)]);
+    o.check_counts();
+    for (int i = 0; i < 300; ++i) o.random_op(from_us(2));
+  }
+  o.sim().run();
+  EXPECT_EQ(o.reference_size(), 0u);
+  o.check_counts();
+}
+
+TEST(EngineOracle, ShardedRunFollowsReferencePerNode) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    EngineOracle o(seed);
+    o.set_up_graph();
+    // Setup-time events (same-instant ones included), some cancelled, some
+    // left stale by a cancel, before the queue is sharded.
+    for (int i = 0; i < 500; ++i) o.random_op(from_ns(400));
+    // Node events at the current instant are pending when the queue is
+    // sharded; one of them cancelled, so a stale entry is there too.
+    const fs_t now = o.sim().now();
+    std::vector<int> same_instant;
+    for (int i = 0; i < 8; ++i)
+      same_instant.push_back(o.schedule(now, i % EngineOracle::kNodes, 0));
+    o.cancel(same_instant[3]);
+    o.sim().set_threads(2);
+    ASSERT_EQ(o.sim().shard_count(), 2);
+    o.check_counts();
+    for (int i = 0; i < 1500 && !::testing::Test::HasFailure(); ++i)
+      o.random_op(from_ns(400));
+    o.run_until(o.sim().now() + from_us(10));
+    EXPECT_EQ(o.reference_size(), 0u) << "seed " << seed;
+    o.check_counts();
+  }
 }
 
 }  // namespace

@@ -270,6 +270,21 @@ TEST(StressRunner, GeneratedSpecDigestsArePinned) {
   }
 }
 
+// Spec 32 crashes a host that carries a hierarchy time server or client.
+// The crash destroys the host's DTP agent; the server and client must go
+// dark with it and rebind to the fresh agent on restart instead of reading
+// the freed one.
+TEST(StressRunner, NodeCrashUnderHierarchyRebindsTimeService) {
+  const stress::StressSpec s = stress::generate(kBatchSeed, 32);
+  ASSERT_TRUE(s.hier);
+  bool crashes = false;
+  for (const auto& f : s.faults) crashes |= f.kind == chaos::FaultKind::kNodeCrash;
+  ASSERT_TRUE(crashes);
+  const stress::CampaignResult r = stress::run_campaign(s);
+  EXPECT_GT(r.events_executed, 0u);
+  EXPECT_TRUE(r.clean()) << violations_to_string(r);
+}
+
 TEST(StressRunner, CampaignIsDeterministic) {
   const stress::StressSpec s = base_spec();
   const stress::CampaignResult a = stress::run_campaign(s);
