@@ -80,7 +80,8 @@ EngineModeResult run_quiet_tree(bool bridged, fs_t settle, fs_t duration,
                                 std::uint64_t seed) {
   const auto t0 = std::chrono::steady_clock::now();
   sim::Simulator sim(seed);
-  if (bridged) sim.set_engine(sim::Simulator::EngineMode::kBridged);
+  sim.set_engine(bridged ? sim::Simulator::EngineMode::kBridged
+                         : sim::Simulator::EngineMode::kExact);
   net::Network net(sim);
   net::build_paper_tree(net);
   dtp::DtpNetwork dtp = dtp::enable_dtp(net);
@@ -397,6 +398,7 @@ int main(int argc, char** argv) {
             k32_bit_exact) &
       benchutil::check("bridged run bit-identical to exact (events and worst offset)",
             engine_identical) &
+      benchutil::check("exact leg is the reference (no fused events)", ex.fused == 0) &
       benchutil::check("bridged engine >= 1.3x end-to-end on the quiet tree", bridged_speedup >= 1.3) &
       benchutil::check("quiet block-time retired >= 10x faster than the per-block engine",
             quiet_rate_win >= 10.0);

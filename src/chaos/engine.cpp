@@ -236,7 +236,8 @@ void ChaosEngine::schedule(const FaultPlan& plan) {
   for (const FaultSpec& spec : plan.faults) schedule_fault(spec);
 }
 
-void ChaosEngine::schedule_fault(const FaultSpec& spec) {
+void ChaosEngine::schedule_fault(const FaultSpec& planned) {
+  const FaultSpec& spec = scheduled_.emplace_back(planned);
   ++faults_pending_;
   if (auto* m = hub_ != nullptr ? hub_->metrics() : nullptr)
     m->add(m->counter("chaos.faults_injected"));
@@ -245,7 +246,7 @@ void ChaosEngine::schedule_fault(const FaultSpec& spec) {
     case FaultKind::kPortFail: {
       Link* l = &require_link(spec);
       sim_.schedule_at(spec.at, [this, l] { take_link_down(*l); });
-      sim_.schedule_at(spec.at + spec.duration, [this, l, spec] {
+      sim_.schedule_at(spec.at + spec.duration, [this, l, &spec] {
         bring_link_up(*l);
         start_probe(spec, make_seed(spec, sim_.now()), {spec.link_a, spec.link_b});
       });
@@ -258,7 +259,7 @@ void ChaosEngine::schedule_fault(const FaultSpec& spec) {
         const fs_t down_at = spec.at + i * spec.period;
         sim_.schedule_at(down_at, [this, l] { take_link_down(*l); });
         const bool last = i == flaps - 1;
-        sim_.schedule_at(down_at + spec.duration, [this, l, spec, last] {
+        sim_.schedule_at(down_at + spec.duration, [this, l, &spec, last] {
           bring_link_up(*l);
           if (last)
             start_probe(spec, make_seed(spec, sim_.now()), {spec.link_a, spec.link_b});
@@ -272,7 +273,7 @@ void ChaosEngine::schedule_fault(const FaultSpec& spec) {
         mark("fault:ber_burst " + l->dev_a->name() + "-" + l->dev_b->name());
         l->cable->set_ber(ber);
       });
-      sim_.schedule_at(spec.at + spec.duration, [this, l, spec] {
+      sim_.schedule_at(spec.at + spec.duration, [this, l, &spec] {
         mark("heal:ber_clear " + l->dev_a->name() + "-" + l->dev_b->name());
         l->cable->set_ber(net_.params().cable.ber);
         start_probe(spec, make_seed(spec, sim_.now()), {spec.link_a, spec.link_b});
@@ -285,7 +286,7 @@ void ChaosEngine::schedule_fault(const FaultSpec& spec) {
         mark("fault:beacon_loss " + l->dev_a->name() + "-" + l->dev_b->name());
         l->cable->set_control_drop(drop);
       });
-      sim_.schedule_at(spec.at + spec.duration, [this, l, spec] {
+      sim_.schedule_at(spec.at + spec.duration, [this, l, &spec] {
         mark("heal:beacon_loss_clear " + l->dev_a->name() + "-" + l->dev_b->name());
         l->cable->set_control_drop(0.0);
         start_probe(spec, make_seed(spec, sim_.now()), {spec.link_a, spec.link_b});
@@ -295,7 +296,7 @@ void ChaosEngine::schedule_fault(const FaultSpec& spec) {
     case FaultKind::kNodeCrash: {
       if (!spec.device) throw std::invalid_argument("chaos: node_crash without device");
       sim_.schedule_at(spec.at, [this, dev = spec.device] { crash_node(*dev); });
-      sim_.schedule_at(spec.at + spec.duration, [this, spec] {
+      sim_.schedule_at(spec.at + spec.duration, [this, &spec] {
         restart_node(*spec.device);
         start_probe(spec, make_seed(spec, sim_.now()), {spec.device});
       });
@@ -303,7 +304,7 @@ void ChaosEngine::schedule_fault(const FaultSpec& spec) {
     }
     case FaultKind::kRogueOscillator: {
       if (!spec.device) throw std::invalid_argument("chaos: rogue without device");
-      sim_.schedule_at(spec.at, [this, spec] {
+      sim_.schedule_at(spec.at, [this, &spec] {
         mark("fault:rogue_oscillator " + spec.device->name());
         // The thermal walk would pull the oscillator back toward its old
         // frequency; a genuinely broken part stays broken.
@@ -315,12 +316,12 @@ void ChaosEngine::schedule_fault(const FaultSpec& spec) {
     }
     case FaultKind::kPcieStorm: {
       if (!spec.daemon) throw std::invalid_argument("chaos: pcie_storm without daemon");
-      sim_.schedule_at(spec.at, [this, spec] {
+      sim_.schedule_at(spec.at, [this, &spec] {
         mark("fault:pcie_storm");
         spec.daemon->set_pcie_stress(spec.pcie_extra_per_leg, spec.pcie_spike_prob,
                                      spec.pcie_spike_mean);
       });
-      sim_.schedule_at(spec.at + spec.duration, [this, spec] {
+      sim_.schedule_at(spec.at + spec.duration, [this, &spec] {
         mark("heal:pcie_clear");
         spec.daemon->clear_pcie_stress();
         start_daemon_probe(spec, make_seed(spec, sim_.now()));
@@ -331,14 +332,14 @@ void ChaosEngine::schedule_fault(const FaultSpec& spec) {
       dtp::UtcSourceServer* srv = require_server(spec);
       // Failover is measured from the *loss*, not the heal: the probe goes
       // valid only once every client is locked to a different source.
-      sim_.schedule_at(spec.at, [this, spec, srv] {
+      sim_.schedule_at(spec.at, [this, &spec, srv] {
         mark("fault:gps_loss " + spec.device->name());
         srv->set_down(true);
         ProbeResult seed = make_seed(spec, spec.at);
         start_hierarchy_probe(spec, std::move(seed), srv->params().period,
                               static_cast<int>(srv->params().source_id));
       });
-      sim_.schedule_at(spec.at + spec.duration, [this, spec, srv] {
+      sim_.schedule_at(spec.at + spec.duration, [this, &spec, srv] {
         mark("heal:gps_restore " + spec.device->name());
         srv->set_down(false);
       });
@@ -346,7 +347,7 @@ void ChaosEngine::schedule_fault(const FaultSpec& spec) {
     }
     case FaultKind::kRogueGrandmaster: {
       dtp::UtcSourceServer* srv = require_server(spec);
-      sim_.schedule_at(spec.at, [this, spec, srv] {
+      sim_.schedule_at(spec.at, [this, &spec, srv] {
         mark("fault:rogue_grandmaster " + spec.device->name());
         srv->set_lie_ns(spec.magnitude);
         watch_rogue_gm(spec, srv);
@@ -359,7 +360,7 @@ void ChaosEngine::schedule_fault(const FaultSpec& spec) {
             "chaos: island_partition without a time hierarchy (set_hierarchy)");
       Link* l = &require_link(spec);
       sim_.schedule_at(spec.at, [this, l] { take_link_down(*l); });
-      sim_.schedule_at(spec.at + spec.duration, [this, l, spec] {
+      sim_.schedule_at(spec.at + spec.duration, [this, l, &spec] {
         bring_link_up(*l);
         // Reconvergence after heal: everyone locked again, served UTC back
         // within the threshold, and (sentinel-checked) no backward steps on
@@ -375,7 +376,7 @@ void ChaosEngine::schedule_fault(const FaultSpec& spec) {
       dtp::UtcSourceServer* srv = require_server(spec);
       const int flaps = std::max(1, spec.count);
       for (int i = 0; i < flaps; ++i) {
-        sim_.schedule_at(spec.at + i * spec.period, [this, spec, srv, i] {
+        sim_.schedule_at(spec.at + i * spec.period, [this, &spec, srv, i] {
           const bool degrade = (i % 2) == 0;
           const int s = degrade ? static_cast<int>(spec.magnitude)
                                 : srv->params().stratum;
@@ -384,7 +385,7 @@ void ChaosEngine::schedule_fault(const FaultSpec& spec) {
           srv->set_stratum(s);
         });
       }
-      sim_.schedule_at(spec.at + flaps * spec.period, [this, spec, srv] {
+      sim_.schedule_at(spec.at + flaps * spec.period, [this, &spec, srv] {
         mark("heal:stratum_restore " + spec.device->name());
         srv->set_stratum(srv->params().stratum);
         start_hierarchy_probe(spec, make_seed(spec, sim_.now()),
@@ -403,7 +404,7 @@ void ChaosEngine::schedule_fault(const FaultSpec& spec) {
         mark("fault:asymmetric_delay " + l->dev_a->name() + "-" + l->dev_b->name());
         l->cable->set_extra_delay(dir, extra);
       });
-      sim_.schedule_at(spec.at + spec.duration, [this, l, dir, spec] {
+      sim_.schedule_at(spec.at + spec.duration, [this, l, dir, &spec] {
         mark("heal:asymmetric_delay_clear " + l->dev_a->name() + "-" +
              l->dev_b->name());
         l->cable->set_extra_delay(dir, 0);
@@ -419,7 +420,7 @@ void ChaosEngine::schedule_fault(const FaultSpec& spec) {
         mark("fault:limping_port " + l->dev_a->name() + "-" + l->dev_b->name());
         l->cable->set_tx_stall(dir, prob, stall);
       });
-      sim_.schedule_at(spec.at + spec.duration, [this, l, dir, spec] {
+      sim_.schedule_at(spec.at + spec.duration, [this, l, dir, &spec] {
         mark("heal:limping_port_clear " + l->dev_a->name() + "-" +
              l->dev_b->name());
         l->cable->set_tx_stall(dir, 0.0, 0);
@@ -435,7 +436,7 @@ void ChaosEngine::schedule_fault(const FaultSpec& spec) {
              l->dev_b->name());
         l->cable->set_silent_corrupt(dir, prob);
       });
-      sim_.schedule_at(spec.at + spec.duration, [this, l, dir, spec] {
+      sim_.schedule_at(spec.at + spec.duration, [this, l, dir, &spec] {
         mark("heal:silent_corruption_clear " + l->dev_a->name() + "-" +
              l->dev_b->name());
         l->cable->set_silent_corrupt(dir, 0.0);
@@ -447,13 +448,13 @@ void ChaosEngine::schedule_fault(const FaultSpec& spec) {
       Link* l = &require_link(spec);
       // The stuck register lives on spec.link_a's port facing spec.link_b.
       phy::PhyPort* port = l->dev_a == spec.link_a ? l->a : l->b;
-      sim_.schedule_at(spec.at, [this, port, spec] {
+      sim_.schedule_at(spec.at, [this, port, &spec] {
         mark("fault:frozen_counter " + spec.link_a->name());
         // Resolve at fire time: the agent may have been replaced since
         // scheduling (crash faults earlier in the plan).
         if (dtp::PortLogic* pl = port_logic_at(port)) pl->set_counter_frozen(true);
       });
-      sim_.schedule_at(spec.at + spec.duration, [this, port, spec] {
+      sim_.schedule_at(spec.at + spec.duration, [this, port, &spec] {
         mark("heal:frozen_counter_thaw " + spec.link_a->name());
         if (dtp::PortLogic* pl = port_logic_at(port)) pl->set_counter_frozen(false);
         start_probe(spec, make_seed(spec, sim_.now()), {spec.link_a, spec.link_b});
@@ -532,7 +533,7 @@ bool ChaosEngine::rogue_gm_deselected(std::uint32_t rogue_id) const {
 void ChaosEngine::watch_rogue_gm(const FaultSpec& spec, dtp::UtcSourceServer* srv) {
   const fs_t deadline = spec.at + spec.duration;
   sim_.schedule_at(sim_.now() + srv->params().period / 8,
-                   [this, spec, srv, deadline] { rogue_gm_poll(spec, srv, deadline); },
+                   [this, &spec, srv, deadline] { rogue_gm_poll(spec, srv, deadline); },
                    sim::EventCategory::kProbe);
 }
 
@@ -544,7 +545,7 @@ void ChaosEngine::rogue_gm_poll(const FaultSpec& spec, dtp::UtcSourceServer* srv
     // After the operator reaction delay the grandmaster is fixed and the
     // hierarchy must settle again (it may legitimately re-select the healed
     // source — monotone serving covers the switch-back).
-    sim_.schedule_at(sim_.now() + spec.period, [this, spec, srv] {
+    sim_.schedule_at(sim_.now() + spec.period, [this, &spec, srv] {
       mark("heal:rogue_gm_fixed " + spec.device->name());
       srv->set_lie_ns(0.0);
       ProbeResult seed = make_seed(spec, sim_.now());
@@ -562,7 +563,7 @@ void ChaosEngine::rogue_gm_poll(const FaultSpec& spec, dtp::UtcSourceServer* srv
     return;
   }
   sim_.schedule_at(sim_.now() + srv->params().period / 8,
-                   [this, spec, srv, deadline] { rogue_gm_poll(spec, srv, deadline); },
+                   [this, &spec, srv, deadline] { rogue_gm_poll(spec, srv, deadline); },
                    sim::EventCategory::kProbe);
 }
 
@@ -583,7 +584,7 @@ bool ChaosEngine::rogue_isolated(const net::Device& rogue) const {
 void ChaosEngine::watch_rogue(const FaultSpec& spec) {
   const fs_t deadline = spec.at + spec.duration;
   sim_.schedule_at(sim_.now() + probe_sample_period(),
-                   [this, spec, deadline] { rogue_poll(spec, deadline); },
+                   [this, &spec, deadline] { rogue_poll(spec, deadline); },
                    sim::EventCategory::kProbe);
 }
 
@@ -594,7 +595,7 @@ void ChaosEngine::rogue_poll(const FaultSpec& spec, fs_t deadline) {
     // collateral quarantines (ports that tripped on jumps the rogue's
     // counter caused to *propagate*, before the direct neighbor cut it
     // off) and measure the healthy remainder reconverging.
-    sim_.schedule_at(sim_.now() + spec.period, [this, spec] {
+    sim_.schedule_at(sim_.now() + spec.period, [this, &spec] {
       remediate_collateral(*spec.device);
       ProbeResult seed = make_seed(spec, sim_.now());
       seed.peer_isolated = true;
@@ -614,7 +615,7 @@ void ChaosEngine::rogue_poll(const FaultSpec& spec, fs_t deadline) {
     return;
   }
   sim_.schedule_at(sim_.now() + probe_sample_period(),
-                   [this, spec, deadline] { rogue_poll(spec, deadline); },
+                   [this, &spec, deadline] { rogue_poll(spec, deadline); },
                    sim::EventCategory::kProbe);
 }
 

@@ -15,6 +15,7 @@
 /// Topology primitives (`take_link_down`, `crash_node`, ...) are public so
 /// tests can drive individual failures without writing a plan.
 
+#include <deque>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -160,6 +161,10 @@ class ChaosEngine {
   std::vector<Link> links_;
   std::unordered_map<const phy::PhyPort*, net::Device*> port_owner_;
   std::vector<std::unique_ptr<RecoveryProbe>> probes_;
+  /// The engine's own copy of every scheduled fault. Event closures refer
+  /// to it (a deque never moves its elements) instead of copying a
+  /// FaultSpec each, so they fit the sim::Callback inline buffer.
+  std::deque<FaultSpec> scheduled_;
   std::size_t faults_pending_ = 0;  ///< scheduled faults not yet reported
   CampaignReport report_;
   obs::Hub* hub_ = nullptr;                    ///< see set_obs

@@ -21,6 +21,23 @@ std::uint32_t Frame::frame_bytes() const {
   return std::max(kMacHeaderBytes + payload_bytes + kFcsBytes, kMinFrameBytes);
 }
 
+std::uint32_t ParkedFrames::park(Frame frame) {
+  if (free_.empty()) {
+    frames_.push_back(std::move(frame));
+    return static_cast<std::uint32_t>(frames_.size() - 1);
+  }
+  const std::uint32_t idx = free_.back();
+  free_.pop_back();
+  frames_[idx] = std::move(frame);
+  return idx;
+}
+
+Frame ParkedFrames::take(std::uint32_t idx) {
+  Frame f = std::move(frames_[idx]);
+  free_.push_back(idx);
+  return f;
+}
+
 namespace {
 void put_mac(std::vector<std::uint8_t>& out, MacAddr m) {
   for (int i = 5; i >= 0; --i) out.push_back(static_cast<std::uint8_t>(m.value >> (8 * i)));

@@ -75,6 +75,23 @@ struct Frame {
   std::uint32_t wire_bytes() const { return frame_bytes() + kPreambleBytes; }
 };
 
+/// Frames waiting out a delay event (a host's software stack, a switch's
+/// forwarding pipeline). The event captures the frame's index here instead
+/// of the 64-byte frame, so its closure fits the sim::Callback inline buffer
+/// and a delayed frame allocates nothing. Indices recycle through a free
+/// list, so the storage tracks the most frames ever in flight at once.
+class ParkedFrames {
+ public:
+  std::uint32_t park(Frame frame);
+  /// Move the frame out and free its index, before the caller acts on it:
+  /// whatever the caller does next may park another frame.
+  Frame take(std::uint32_t idx);
+
+ private:
+  std::vector<Frame> frames_;
+  std::vector<std::uint32_t> free_;
+};
+
 /// Serialize header + dummy payload + real CRC into wire bytes (without
 /// preamble); `parse_frame` reverses it and verifies the CRC.
 std::vector<std::uint8_t> serialize_frame(const Frame& f,

@@ -28,7 +28,8 @@ void Host::send_app(Frame frame) {
   sim::ScopedAffinity aff(node());
   frame.src = addr_;
   const fs_t delay = tx_stack_.sample();
-  sim_.schedule_in(delay, [this, frame] { nic().enqueue(frame); },
+  const std::uint32_t idx = in_stack_.park(std::move(frame));
+  sim_.schedule_in(delay, [this, idx] { nic().enqueue(in_stack_.take(idx)); },
                    sim::EventCategory::kFrame);
 }
 
@@ -38,8 +39,13 @@ void Host::handle_rx(const Frame& frame, fs_t rx_time) {
   if (on_hw_receive) on_hw_receive(frame, rx_time);
   if (on_app_receive) {
     const fs_t delay = rx_stack_.sample();
+    const std::uint32_t idx = in_stack_.park(frame);
     sim_.schedule_in(
-        delay, [this, frame, rx_time] { on_app_receive(frame, rx_time, sim_.now()); },
+        delay,
+        [this, idx, rx_time] {
+          const Frame f = in_stack_.take(idx);
+          on_app_receive(f, rx_time, sim_.now());
+        },
         sim::EventCategory::kFrame);
   }
 }

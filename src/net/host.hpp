@@ -89,6 +89,7 @@ class Host : public Device {
   MacAddr addr_;
   StackModel tx_stack_;
   StackModel rx_stack_;
+  ParkedFrames in_stack_;  ///< frames crossing the software stack
 };
 
 }  // namespace dtpsim::net

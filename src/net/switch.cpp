@@ -68,10 +68,11 @@ void Switch::deliver(std::size_t out_port, const Frame& frame, fs_t eligible) {
     if (!mac(out_port).enqueue(frame)) ++stats_.egress_drops;
     return;
   }
+  const std::uint32_t idx = in_pipeline_.park(frame);
   sim_.schedule_at(
       eligible,
-      [this, out_port, frame] {
-        if (!mac(out_port).enqueue(frame)) ++stats_.egress_drops;
+      [this, out_port, idx] {
+        if (!mac(out_port).enqueue(in_pipeline_.take(idx))) ++stats_.egress_drops;
       },
       sim::EventCategory::kFrame);
 }

@@ -67,6 +67,7 @@ class Switch : public Device {
   SwitchParams sw_params_;
   SwitchStats stats_;
   std::unordered_map<MacAddr, std::size_t, MacAddrHash> fib_;
+  ParkedFrames in_pipeline_;  ///< frames waiting for their eligible time
 };
 
 }  // namespace dtpsim::net

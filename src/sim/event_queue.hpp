@@ -215,9 +215,11 @@ class EventQueue {
 
   /// Arm a node-class step: consumes the next sequence number and counts as
   /// scheduled, exactly like schedule() would for the event it replaces.
-  /// Returns a cancellation token (monotonic per queue, never reused; 0 is
-  /// reserved invalid). Token semantics mirror Handle generations: a token
-  /// for a fired step silently no-ops in bridge_cancel.
+  /// Returns a cancellation token: the step's slab index in the low 32 bits
+  /// and the slab entry's generation (never 0) in the high 32, so 0 is
+  /// reserved invalid. Token semantics mirror Handle generations: a token
+  /// for a fired or cancelled step no-ops in bridge_cancel, even once its
+  /// entry holds a newer step.
   std::uint64_t bridge_schedule(fs_t t, const BridgeStep& step);
 
   /// Arm a link-class step with an explicit delivery subkey, like
@@ -225,8 +227,8 @@ class EventQueue {
   std::uint64_t bridge_schedule_link(fs_t t, std::uint64_t link_sub,
                                      const BridgeStep& step);
 
-  /// Cancel a pending step by token; counts as cancelled. Stale tokens
-  /// (fired or already cancelled) return false.
+  /// Cancel a pending step by token in O(1) (plus its heap removal); counts
+  /// as cancelled. Stale tokens (fired or already cancelled) return false.
   bool bridge_cancel(std::uint64_t token);
 
   /// Account for an event that is fused inline and never enters any heap:
@@ -379,11 +381,16 @@ class EventQueue {
   }
 
   /// Slab entry for a bridged step; `heap_pos` == kNoHeapPos marks free.
+  /// `gen` advances each time the step is retired (fired or cancelled), like
+  /// Slot::gen; an entry whose generation runs out is retired for good.
   struct BridgeSlot {
     BridgeStep step{};
-    std::uint64_t token = 0;
+    std::uint32_t gen = 1;
     std::uint32_t heap_pos = kNoHeapPos;
   };
+  static std::uint64_t bridge_token(std::uint32_t idx, std::uint32_t gen) {
+    return (static_cast<std::uint64_t>(gen) << 32) | idx;
+  }
 
   /// Bridge heap entry: same (time, key) order as HeapEntry, indexing the
   /// bridge slab. Kept as a second heap so the exact hot path never pays for
@@ -476,7 +483,6 @@ class EventQueue {
   std::vector<std::uint32_t> bridge_free_;
   std::vector<BridgeEntry> bheap_;
   std::vector<std::vector<NodePending>> node_pending_;  ///< by node id
-  std::uint64_t bridge_next_token_ = 0;
   std::uint64_t fused_ = 0;  ///< virtual fires (events that skipped the heap)
   bool running_ = false;       ///< inside run(); gates future-instant fusion
   fs_t run_horizon_ = 0;       ///< active run() horizon

@@ -11,22 +11,28 @@ namespace dtpsim::sim {
 
 namespace {
 
-/// Fold a drained batch of cross-shard messages into `q` in ascending
-/// (arrival, link key) order. Sorted insertion lands each entry near the
-/// heap bottom, so the sift is O(1) amortized instead of O(log n) per
-/// message; the firing order is unchanged (link keys are explicit), this is
-/// purely a memory-behavior optimization. Clears the batch, keeps capacity.
-std::size_t flush_sorted(std::vector<CrossMsg>& batch, EventQueue& q) {
+/// Fold the staged cross-shard messages due before `before` into `q` in
+/// ascending (arrival, link key) order and keep the later ones staged.
+/// Sorted insertion lands each entry near the heap bottom, so the sift is
+/// O(1) amortized instead of O(log n) per message; the firing order is
+/// unchanged (link keys are explicit). Which later messages a drain sees
+/// depends on how far ahead a neighbour runs, so inserting them early
+/// would make the queue depth (SimStats::peak_pending) vary between
+/// identical runs. Keeps capacity.
+std::size_t flush_sorted(std::vector<CrossMsg>& batch, EventQueue& q,
+                         fs_t before = EventQueue::kNoEventTime) {
   if (batch.empty()) return 0;
   std::sort(batch.begin(), batch.end(), [](const CrossMsg& a, const CrossMsg& b) {
     if (a.arrival != b.arrival) return a.arrival < b.arrival;
     return a.link_sub < b.link_sub;
   });
-  for (CrossMsg& m : batch)
-    q.schedule_link(m.arrival, std::move(m.fn), m.cat, m.dst_node, m.owner,
-                    m.link_sub);
-  const std::size_t n = batch.size();
-  batch.clear();
+  const auto due = std::partition_point(
+      batch.begin(), batch.end(), [before](const CrossMsg& m) { return m.arrival < before; });
+  for (auto it = batch.begin(); it != due; ++it)
+    q.schedule_link(it->arrival, std::move(it->fn), it->cat, it->dst_node, it->owner,
+                    it->link_sub);
+  const auto n = static_cast<std::size_t>(due - batch.begin());
+  batch.erase(batch.begin(), due);
   return n;
 }
 
@@ -167,7 +173,8 @@ void ParallelEngine::run_plan_worker(ShardRt* rt) {
                            : plan.t0 + (k + 1) * lookahead;
     // Conservative rule: a message that must fire in epoch k was sent before
     // this epoch's start, i.e. by a neighbor that has finished epoch k-1.
-    // Wait for that, stage every neighbor's batch, then insert sorted.
+    // Wait for that, stage every neighbor's batch, then insert the ones due
+    // in this epoch sorted; later ones stay staged for their own epoch.
     {
       obs::WallScope scope(wp, obs::WallPhase::kMailboxDrain);
       for (const std::int32_t nb : rt->neighbors) {
@@ -181,7 +188,7 @@ void ParallelEngine::run_plan_worker(ShardRt* rt) {
           rt->drain_scratch.push_back(std::move(m));
         });
       }
-      flush_sorted(rt->drain_scratch, rt->queue);
+      flush_sorted(rt->drain_scratch, rt->queue, e_end);
     }
     std::uint64_t fired;
     {

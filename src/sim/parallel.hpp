@@ -163,9 +163,12 @@ struct ShardRt {
   std::vector<std::int32_t> neighbors;  ///< shards with a cable into this one
   std::vector<std::uint64_t> epoch_events;  ///< per-epoch fired counts (plan-local)
   /// Batched-drain staging: each epoch's mailbox sweep collects here, sorts
-  /// by (arrival, link key) and inserts ascending — sorted insertion into a
-  /// min-heap sifts O(1) amortized instead of O(log n) per message. Capacity
-  /// persists across epochs, so a steady flow costs no allocation.
+  /// by (arrival, link key) and inserts the messages due in the epoch
+  /// ascending — sorted insertion into a min-heap sifts O(1) amortized
+  /// instead of O(log n) per message. Messages due later (sent by a
+  /// neighbour already an epoch ahead) stay here until their epoch or the
+  /// segment-end drain_all_mailboxes. Capacity persists across epochs, so a
+  /// steady flow costs no allocation.
   std::vector<CrossMsg> drain_scratch;
   std::uint64_t fired_total = 0;
   alignas(64) std::atomic<std::int64_t> done_epoch{-1};
@@ -198,8 +201,9 @@ class ParallelEngine {
   /// Coordinator blocks until every worker finishes.
   void run_segment(fs_t t0, fs_t horizon);
 
-  /// Fold every undelivered mailbox message into its destination queue.
-  /// Coordinator-only, workers must be parked.
+  /// Fold every undelivered mailbox message, and every message an epoch
+  /// drain held back, into its destination queue. Coordinator-only, workers
+  /// must be parked.
   std::size_t drain_all_mailboxes();
 
   /// Advance every shard clock to `t` (segment/sync boundary).

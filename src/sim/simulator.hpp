@@ -223,7 +223,9 @@ class Simulator {
   /// Switch to the parallel backend with at most `threads` worker shards.
   /// Call after the topology (and any pre-scheduled protocol work) is set
   /// up and before running; pending device events migrate to their shards.
-  /// No-op if `threads` <= 1 or the graph doesn't split.
+  /// No-op if `threads` <= 1 or the graph doesn't split. Throws while
+  /// bridged steps are pending (they name a queue and cannot migrate), so
+  /// shard at set-up, before the first run.
   void set_threads(unsigned threads);
 
   bool parallel() const { return engine_ != nullptr; }
@@ -232,17 +234,21 @@ class Simulator {
   fs_t lookahead() const;
   ParallelStats parallel_stats() const;
 
-  // --- Engine mode (quiet-path fast-forward; DESIGN.md §12) -----------------
+  // --- Engine mode (quiet-path fusion; DESIGN.md §12) -----------------------
 
-  /// kExact drives every protocol action through generation-counted events.
-  /// kBridged lets the quiet PHY path (beacon cadence, control deliveries,
-  /// CDC visibility) advance through analytic POD steps that fire at the
-  /// exact same (time, key) positions — RunDigest-bit-identical, ~an order
-  /// of magnitude fewer event-machinery costs on quiet intervals.
+  /// kBridged, the default and production engine, lets the quiet PHY path
+  /// (beacon cadence, control deliveries, CDC visibility) advance through
+  /// POD steps that fire at the exact same (time, key) positions, and fuses
+  /// the control-service and CDC-apply events of a quiet chain so they never
+  /// touch a heap. kExact drives every protocol action through
+  /// generation-counted events; it is the reference the bit-exact tests, the
+  /// fuzzer's engine slice and the shrinker compare against. Both produce
+  /// RunDigest-bit-identical runs; only SimStats::fused tells them apart.
   enum class EngineMode : std::uint8_t { kExact, kBridged };
 
   /// Select the engine mode. Consulted at arm time, so switching mid-run
-  /// only affects work scheduled afterwards.
+  /// only affects work scheduled afterwards. A run that means "the
+  /// reference" must call set_engine(EngineMode::kExact) explicitly.
   void set_engine(EngineMode mode) { engine_mode_ = mode; }
   EngineMode engine_mode() const { return engine_mode_; }
   bool bridged() const { return engine_mode_ == EngineMode::kBridged; }
@@ -330,7 +336,7 @@ class Simulator {
 
   std::uint64_t seed_;
   Rng root_rng_;
-  EngineMode engine_mode_ = EngineMode::kExact;
+  EngineMode engine_mode_ = EngineMode::kBridged;
   std::chrono::steady_clock::duration run_wall_{0};
   EventQueue global_q_;
   std::unique_ptr<ParallelEngine> engine_;

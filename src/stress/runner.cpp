@@ -77,7 +77,8 @@ std::vector<std::pair<fs_t, fs_t>> blackout_windows(const StressSpec& spec) {
 Campaign::Campaign(const StressSpec& spec, const obs::SessionConfig* obs)
     : spec_(spec), sim_(spec.sim_seed) {
   check_preset(spec);
-  if (spec.bridged) sim_.set_engine(sim::Simulator::EngineMode::kBridged);
+  sim_.set_engine(spec.bridged ? sim::Simulator::EngineMode::kBridged
+                               : sim::Simulator::EngineMode::kExact);
   net::NetworkParams np;
   chaos::ChaosParams cp;
   switch (spec.preset) {
@@ -207,9 +208,9 @@ CampaignResult run_campaign(const StressSpec& spec, const obs::SessionConfig* ob
 }
 
 CampaignResult run_differential(const StressSpec& spec) {
-  // The baseline is always the serial cycle-exact engine: both the parallel
-  // conservative engine and the tick-bridging engine promise bit-identical
-  // RunDigests against it, separately and combined.
+  // The baseline is always the serial cycle-exact reference: both the
+  // parallel conservative engine and the fused production engine promise
+  // bit-identical RunDigests against it, separately and combined.
   if (spec.threads <= 1 && !spec.bridged) return run_campaign(spec);
   StressSpec base_spec = spec;
   base_spec.threads = 1;

@@ -365,6 +365,7 @@ StressSpec named_spec(const std::string& name, std::uint64_t seed) {
   for (const chaos::FaultSpec& f : plan.faults) s.faults.push_back(chaos::describe(f));
   s.hier = s.preset == Preset::kSource;
   s.gray = s.preset == Preset::kGray;
+  s.bridged = true;
   return s;
 }
 

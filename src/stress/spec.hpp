@@ -57,7 +57,9 @@ struct StressSpec {
 
   // --- Execution -------------------------------------------------------------
   std::uint32_t threads = 1;   ///< 1 = serial; 2/4 = parallel conservative
-  bool bridged = false;        ///< tick-bridging engine (EngineMode::kBridged)
+  /// Engine: true = the fused production engine (EngineMode::kBridged),
+  /// false = the cycle-exact reference (kExact). Text: engine=bridged|exact.
+  bool bridged = false;
   fs_t settle = from_ms(3);    ///< convergence time before faults may land
   fs_t horizon = from_ms(5);   ///< absolute end of the run
 
@@ -143,7 +145,8 @@ StressSpec generate(std::uint64_t seed, std::uint32_t index,
 /// The `dtpsim --chaos=<name>` plans as specs: the "canonical", "gray" and
 /// "source" campaigns, and "flap", "storm", "crash", "ber" and "rogue", the
 /// canonical campaign's fault of that class alone at the settle time.
-/// Throws std::invalid_argument for any other name.
+/// Named specs run the production engine (`bridged`). Throws
+/// std::invalid_argument for any other name.
 StressSpec named_spec(const std::string& name, std::uint64_t seed);
 
 /// Throws std::invalid_argument if a preset spec departs from its preset's

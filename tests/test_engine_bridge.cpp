@@ -1,14 +1,16 @@
-/// Bit-exact equivalence of the analytic tick-bridging engine (DESIGN.md §12):
-/// running with EngineMode::kBridged — beacon timers, control-block arrivals
-/// and CDC visibility events replaced by analytic bridge steps, quiet spans
-/// fused without touching the heap — must reproduce the exact engine's runs
-/// event-for-event: offset traces, event counts per category, per-port
-/// frame/control counts, agent adjustment counters, and chaos verdicts.
-/// The [bridge] label routes this binary through the sanitize-bridge preset.
+/// Bit-exact equivalence of the fused production engine (DESIGN.md §12):
+/// running with EngineMode::kBridged, the Simulator default — beacon timers,
+/// control-block arrivals and CDC visibility events replaced by analytic
+/// bridge steps, quiet spans fused without touching the heap — must
+/// reproduce the cycle-exact reference (EngineMode::kExact, always asked for
+/// explicitly) event-for-event: offset traces, event counts per category,
+/// per-port frame/control counts, agent adjustment counters, chaos verdicts
+/// and the sentinel's RunDigest.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -16,9 +18,12 @@
 
 #include "chaos/engine.hpp"
 #include "chaos/plan.hpp"
+#include "check/sentinel.hpp"
 #include "dtp/network.hpp"
 #include "net/topology.hpp"
 #include "sim/simulator.hpp"
+#include "stress/runner.hpp"
+#include "stress/spec.hpp"
 
 namespace dtpsim::sim {
 namespace {
@@ -43,12 +48,14 @@ struct RunResult {
   std::vector<std::uint64_t> resets;
   // (class, converged, reconverged_at) per chaos probe, in report order.
   std::vector<std::tuple<std::string, bool, fs_t>> verdicts;
+  check::RunDigest digest;
 
   bool operator==(const RunResult&) const = default;
 };
 
 struct RunConfig {
-  Simulator::EngineMode mode = Simulator::EngineMode::kExact;
+  /// nullopt = never call set_engine: the Simulator's default engine.
+  std::optional<Simulator::EngineMode> mode = Simulator::EngineMode::kExact;
   unsigned threads = 1;
   bool traffic = true;  ///< MTU saturation pairs (forces exact fallbacks)
   bool chaos = true;    ///< link flap + BER burst mid-run
@@ -56,7 +63,7 @@ struct RunConfig {
 
 RunResult run_fig5(const RunConfig& cfg, SimStats* stats_out = nullptr) {
   Simulator sim(42);
-  sim.set_engine(cfg.mode);
+  if (cfg.mode) sim.set_engine(*cfg.mode);
   net::NetworkParams np;
   np.cable.propagation_delay = from_us(1);
   net::Network net(sim, np);
@@ -87,6 +94,7 @@ RunResult run_fig5(const RunConfig& cfg, SimStats* stats_out = nullptr) {
     chaos_eng.schedule(plan);
   }
 
+  check::Sentinel sentinel(net, dtp);
   if (cfg.threads > 1) sim.set_threads(cfg.threads);
 
   RunResult r;
@@ -120,6 +128,7 @@ RunResult run_fig5(const RunConfig& cfg, SimStats* stats_out = nullptr) {
   }
   for (const chaos::ProbeResult& pr : chaos_eng.report().results())
     r.verdicts.emplace_back(pr.fault_class, pr.converged, pr.reconverged_at);
+  r.digest = sentinel.digest();
   if (stats_out != nullptr) *stats_out = st;
   return r;
 }
@@ -196,11 +205,91 @@ TEST_F(EngineBridge, QuietRunFusesMostControlTraffic) {
       << "quiet workload should fuse a large fraction of events";
 }
 
+// The production default: a Simulator nobody configured fuses the quiet
+// chain, and still reproduces the explicit reference at every thread count.
+TEST_F(EngineBridge, DefaultEngineFusesAndMatchesExactReference) {
+  RunConfig exact;
+  exact.traffic = false;
+  exact.chaos = false;
+  SimStats ref_st;
+  const RunResult ref = run_fig5(exact, &ref_st);
+  EXPECT_EQ(ref_st.fused, 0u) << "the explicit reference must never fuse";
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE(threads);
+    RunConfig dflt = exact;
+    dflt.mode = std::nullopt;
+    dflt.threads = threads;
+    SimStats st;
+    const RunResult r = run_fig5(dflt, &st);
+    EXPECT_GT(st.fused, 0u) << "the default engine does not fuse";
+    EXPECT_EQ(r, ref);
+  }
+}
+
+// A named chaos spec runs the production engine; the same spec with
+// engine=exact is the reference, never fuses, and yields the same digest at
+// 1, 2 and 4 threads.
+TEST_F(EngineBridge, NamedSpecRunsFusedAndMatchesExactReference) {
+  const stress::StressSpec named = stress::named_spec("flap", 1);
+  ASSERT_TRUE(named.bridged);
+  EXPECT_NE(stress::to_text(named).find("engine=bridged"), std::string::npos);
+  stress::StressSpec exact = named;
+  exact.bridged = false;
+  EXPECT_NE(stress::to_text(exact).find("engine=exact"), std::string::npos);
+  stress::Campaign ref(exact);
+  const stress::CampaignResult ref_r = ref.run();
+  EXPECT_EQ(ref.sim().stats().fused, 0u) << "engine=exact must never fuse";
+  EXPECT_TRUE(ref_r.clean());
+  for (const std::uint32_t threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE(threads);
+    stress::StressSpec s = named;
+    s.threads = threads;
+    stress::Campaign fused(s);
+    const stress::CampaignResult r = fused.run();
+    EXPECT_GT(fused.sim().stats().fused, 0u) << "engine=bridged did not fuse";
+    EXPECT_EQ(r.digest, ref_r.digest);
+    EXPECT_EQ(r.events_executed, ref_r.events_executed);
+  }
+}
+
+// Bridge cancel tokens carry (slab index, generation): a token outlives its
+// step, and must not cancel a newer step that reuses the same slab entry.
+TEST(BridgeToken, StaleTokenDoesNotCancelReusedSlot) {
+  EventQueue q;
+  int fired = 0;
+  EventQueue::BridgeStep step;
+  step.fire = [](void* client, const EventQueue::BridgeStep&, fs_t) {
+    ++*static_cast<int*>(client);
+  };
+  step.client = &fired;
+  step.node = 0;
+
+  const std::uint64_t cancelled = q.bridge_schedule(10, step);
+  EXPECT_TRUE(q.bridge_cancel(cancelled));
+  EXPECT_FALSE(q.bridge_cancel(cancelled)) << "double cancel";
+  const std::uint64_t reused = q.bridge_schedule(20, step);
+  EXPECT_EQ(static_cast<std::uint32_t>(reused), static_cast<std::uint32_t>(cancelled))
+      << "test premise: the freed slab entry is reused";
+  EXPECT_FALSE(q.bridge_cancel(cancelled)) << "stale token cancelled a newer step";
+  EXPECT_EQ(q.bridge_pending(), 1u);
+
+  // A fired step's token goes stale the same way.
+  EXPECT_EQ(q.run(EventQueue::kNoEventTime, false), 1u);
+  EXPECT_EQ(fired, 1);
+  const std::uint64_t next = q.bridge_schedule(30, step);
+  EXPECT_EQ(static_cast<std::uint32_t>(next), static_cast<std::uint32_t>(reused));
+  EXPECT_FALSE(q.bridge_cancel(reused));
+  EXPECT_EQ(q.bridge_pending(), 1u);
+  EXPECT_FALSE(q.bridge_cancel(0)) << "0 is the invalid token";
+  EXPECT_TRUE(q.bridge_cancel(next));
+  EXPECT_EQ(q.bridge_pending(), 0u);
+  EXPECT_EQ(q.cancelled_count(), 2u);
+}
+
 TEST_F(EngineBridge, SetThreadsWithPendingBridgeStepsThrows) {
   // Sharding moves events between queues; bridge tokens name a queue, so
   // re-sharding mid-flight is refused rather than silently misrouted.
   Simulator sim(7);
-  sim.set_engine(Simulator::EngineMode::kBridged);
   net::NetworkParams np;
   np.cable.propagation_delay = from_us(1);
   net::Network net(sim, np);

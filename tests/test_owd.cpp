@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include "apps/harness.hpp"
+#include "chaos/campaign.hpp"
 #include "dtp/daemon.hpp"
+#include "dtp/network.hpp"
 #include "dtp_test_util.hpp"
+#include "net/topology.hpp"
 #include "ptp/client.hpp"
 #include "ptp/grandmaster.hpp"
 
@@ -118,6 +122,33 @@ TEST(OwdMeter, PtpClocksGiveSubMicrosecondOwdWhenIdle) {
   // lands at single-digit ns when idle, but can never be tick-perfect.
   EXPECT_GT(meter.error_series().stats().max_abs(), 6.4)
       << "but PTP cannot be implausibly perfect";
+}
+
+// The `dtpsim --app=owd` wiring on the Fig. 5 tree: every app frame crosses
+// both hosts' software stacks as a delay event, and no event closure on the
+// path may outgrow the Callback inline buffer (a spill is one heap
+// allocation per frame per stack traversal).
+TEST(OwdApp, AppFramesNeverSpillCallbacks) {
+  sim::Simulator sim(1);
+  net::NetworkParams np = chaos::CanonicalCampaign::net_params();
+  np.mac.priority_queues = 8;
+  net::Network net(sim, np);
+  const net::PaperTreeTopology tree = net::build_paper_tree(net);
+  dtp::DtpNetwork dtp = dtp::enable_dtp(net, chaos::CanonicalCampaign::dtp_params());
+  AppHarnessParams hp;
+  hp.daemon.poll_period = from_ms(1);
+  hp.daemon.sample_period = 0;
+  hp.daemon.max_anchor_age = from_us(2500);
+  hp.readers_per_host = 4;
+  hp.reader_period = from_us(50);
+  const std::size_t n = tree.leaves.size();
+  for (std::size_t i = 0; i < n / 2; ++i) hp.owd_pairs.emplace_back(i, i + n / 2);
+  AppHarness harness(sim, dtp, tree.leaves, hp);
+  harness.start_daemons();
+  harness.start_apps(from_ms(3));
+  sim.run_until(from_ms(6));
+  EXPECT_GT(harness.owd()->total().probes, 50u);
+  EXPECT_EQ(sim.stats().callback_spills, 0u);
 }
 
 }  // namespace

@@ -176,7 +176,7 @@ TEST(StressSpec, PresetOwnedFieldsAreRejected) {
   EXPECT_THROW(stress::spec_from_text(with("end\n", "gray enabled=1\nend\n")),
                std::invalid_argument);
   // The engine, like the seed, threads and horizon, stays free.
-  EXPECT_NO_THROW(stress::spec_from_text(with("engine=exact", "engine=bridged")));
+  EXPECT_NO_THROW(stress::spec_from_text(with("engine=bridged", "engine=exact")));
   // The rig enforces the same rule on specs that never went through text.
   stress::StressSpec s = stress::named_spec("source", 1);
   s.hier = false;

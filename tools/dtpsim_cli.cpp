@@ -98,9 +98,6 @@ constexpr const char* kUsage =
     "  --wd-backoff=DUR     watchdog re-INIT backoff base in --chaos=gray;\n"
     "                       attempt k waits base*2^k + jitter (default 200us)\n"
     "  --threads=N          parallel conservative engine workers (default 1)\n"
-    "  --engine=exact|bridged  event engine: cycle-exact, or analytic\n"
-    "                       tick-bridging fast-forward for quiet PHY time\n"
-    "                       (bit-identical results; default exact)\n"
     "  --stress=N           run N randomized invariant-checked campaigns from\n"
     "                       --seed; failures write dtpsim-repro-<seed>-<i>.txt\n"
     "                       (+ a shrunken -min.txt) and exit 1\n"
@@ -140,7 +137,6 @@ struct Options {
   fs_t holdover_ceiling = 0;  ///< --chaos=source only; 0 = hierarchy default
   fs_t wd_check_period = 0;   ///< --chaos=gray only; 0 = watchdog default
   fs_t wd_backoff = 0;        ///< --chaos=gray only; 0 = watchdog default
-  bool bridged = false;  ///< --engine=bridged
   std::uint32_t stress = 0;  ///< 0 = off; N = campaign count
   std::string repro;         ///< non-empty = replay this file
   std::string json_out;      ///< non-empty = write JSON summary here
@@ -248,7 +244,7 @@ Options parse(int argc, char** argv) {
 
     if (!one_of(key, {"help", "drift", "topology", "protocol", "load", "chaos",
                       "app", "readers", "nodes", "hops", "seconds", "seed",
-                      "beacon", "rate", "ber", "threads", "engine", "stress",
+                      "beacon", "rate", "ber", "threads", "stress",
                       "repro", "json-out", "trace", "metrics", "metrics-interval",
                       "holdover-ceiling", "wd-check-period", "wd-backoff"}))
       throw UsageError("unknown flag '--" + key + "'");
@@ -320,10 +316,6 @@ Options parse(int argc, char** argv) {
       const long long n = parse_int(key, value);
       if (n < 1 || n > 64) throw UsageError("--threads must be in [1, 64]");
       o.threads = static_cast<unsigned>(n);
-    } else if (key == "engine") {
-      if (!one_of(value, {"exact", "bridged"}))
-        throw UsageError("--engine must be exact|bridged, got '" + value + "'");
-      o.bridged = value == "bridged";
     } else if (key == "stress") {
       const long long n = parse_int(key, value);
       if (n < 1 || n > 1'000'000) throw UsageError("--stress must be in [1, 1000000]");
@@ -473,7 +465,6 @@ BuiltTopology build_topology(net::Network& net, const Options& o) {
 int run_chaos(const Options& o) {
   stress::StressSpec spec = stress::named_spec(o.chaos, o.seed);
   spec.threads = o.threads;
-  spec.bridged = o.bridged;
   spec.hier_holdover_ceiling = o.holdover_ceiling;
   spec.wd_check_period = o.wd_check_period;
   spec.wd_backoff = o.wd_backoff;
@@ -662,7 +653,6 @@ int run_repro(const Options& o) {
 /// understated-uncertainty violations outside the cold-start blackout.
 int run_app(const Options& o) {
   sim::Simulator sim(o.seed);
-  if (o.bridged) sim.set_engine(sim::Simulator::EngineMode::kBridged);
   // Serving apps under saturating load needs the campaign-hardened network
   // and DTP parameters (MAC data holdoff, 800-tick beacons): the page is
   // only as honest as the sync underneath it. --drift is already part of
@@ -786,7 +776,6 @@ int run(const Options& o) {
   if (!o.app.empty()) return run_app(o);
 
   sim::Simulator sim(o.seed);
-  if (o.bridged) sim.set_engine(sim::Simulator::EngineMode::kBridged);
   net::NetworkParams np;
   np.rate = parse_rate(o.rate);
   np.cable.ber = o.ber;
