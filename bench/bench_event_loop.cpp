@@ -196,7 +196,7 @@ double run_churn(Sim& sim, std::uint64_t n_events, std::vector<fs_t>* trace_out,
 // pure engine overhead. Three engines run the identical schedule:
 //   * the seed engine (std::function + priority_queue + tombstones),
 //   * the slab engine in exact mode (every event through the indexed heap),
-//   * the bridged engine (POD timer steps; the service event fuses inline
+//   * the bridged engine (bridged timer steps; the service event fuses inline
 //     through the bridge_tx_fusible gate, as PortLogic::bridge_fire_beacon
 //     does), which is the tentpole's >= 10x engine-overhead claim surface.
 // End-to-end protocol runs see less (handlers dominate; see EXPERIMENTS.md
@@ -267,7 +267,7 @@ QuietResult run_quiet_callbacks(Sim& sim, fs_t horizon) {
   return r;
 }
 
-/// The same chain armed as bridged POD steps, fusing the service event at
+/// The same chain armed as bridged steps, fusing the service event at
 /// the timer's instant when the gate allows (it always does here — a quiet
 /// span is exactly the case the gate exists for).
 struct QuietBridgeChain {
@@ -276,17 +276,10 @@ struct QuietBridgeChain {
   fs_t horizon;
   std::int32_t node;
 
-  static void fire_thunk(void* client, const sim::EventQueue::BridgeStep&, fs_t t) {
-    static_cast<QuietBridgeChain*>(client)->fire(t);
-  }
-
   void arm(fs_t at) {
-    sim::EventQueue::BridgeStep step;
-    step.fire = &QuietBridgeChain::fire_thunk;
-    step.client = this;
-    step.node = node;
-    step.kind = sim::EventQueue::BridgeKind::kTx;
-    sim->bridge_schedule(node, at, step);
+    sim->bridge_schedule(node, at, [this] { fire(sim->now()); },
+                         sim::EventCategory::kGeneric, sim::EventQueue::BridgeKind::kTx,
+                         this);
   }
 
   void fire(fs_t t) {

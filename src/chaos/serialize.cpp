@@ -1,17 +1,19 @@
 #include "chaos/serialize.hpp"
 
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
 
+#include "common/time_units.hpp"
 #include "net/device.hpp"
 #include "net/topology.hpp"
 
 namespace dtpsim::chaos {
 
 namespace {
+
+/// Error prefix for the shared number parsers (common/time_units.hpp).
+constexpr const char* kWho = "chaos::serialize";
 
 FaultKind kind_from_name(const std::string& name) {
   static const FaultKind all[] = {
@@ -44,30 +46,6 @@ bool is_link_fault(FaultKind k) {
     default:
       return false;
   }
-}
-
-std::int64_t parse_i64(const std::string& key, const std::string& v) {
-  errno = 0;
-  char* end = nullptr;
-  const long long out = std::strtoll(v.c_str(), &end, 10);
-  if (errno != 0 || end == v.c_str() || *end != '\0')
-    throw std::invalid_argument("chaos::serialize: bad integer for " + key + ": '" + v + "'");
-  return static_cast<std::int64_t>(out);
-}
-
-double parse_f64(const std::string& key, const std::string& v) {
-  errno = 0;
-  char* end = nullptr;
-  const double out = std::strtod(v.c_str(), &end);
-  if (errno != 0 || end == v.c_str() || *end != '\0')
-    throw std::invalid_argument("chaos::serialize: bad number for " + key + ": '" + v + "'");
-  return out;
-}
-
-std::string fmt_f64(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
 }
 
 }  // namespace
@@ -190,14 +168,15 @@ FaultDescriptor fault_from_line(const std::string& line) {
   d.kind = kind_from_name(take("kind"));
   d.a = take("a");
   if (is_link_fault(d.kind)) d.b = take("b");
-  d.at = parse_i64("at", take("at"));
-  d.duration = parse_i64("dur", take("dur"));
-  d.count = static_cast<int>(parse_i64("count", take("count")));
-  d.period = parse_i64("period", take("period"));
-  d.magnitude = parse_f64("mag", take("mag"));
-  d.probe_threshold_ticks = parse_f64("probe_threshold", take_opt("probe_threshold", "0"));
-  d.probe_sample_period = parse_i64("probe_period", take_opt("probe_period", "0"));
-  d.probe_timeout = parse_i64("probe_timeout", take_opt("probe_timeout", "0"));
+  d.at = parse_i64(kWho, "at", take("at"));
+  d.duration = parse_i64(kWho, "dur", take("dur"));
+  d.count = static_cast<int>(parse_i64(kWho, "count", take("count")));
+  d.period = parse_i64(kWho, "period", take("period"));
+  d.magnitude = parse_f64(kWho, "mag", take("mag"));
+  d.probe_threshold_ticks =
+      parse_f64(kWho, "probe_threshold", take_opt("probe_threshold", "0"));
+  d.probe_sample_period = parse_i64(kWho, "probe_period", take_opt("probe_period", "0"));
+  d.probe_timeout = parse_i64(kWho, "probe_timeout", take_opt("probe_timeout", "0"));
   if (have_label) d.label = label;
 
   if (!kv.empty())

@@ -1,5 +1,6 @@
 #include "common/time_units.hpp"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -24,6 +25,32 @@ fs_t parse_duration(const std::string& text) {
   if (!(x > 0))
     throw std::invalid_argument("duration '" + text + "' must be positive");
   return static_cast<fs_t>(x * fs_per_unit);
+}
+
+std::int64_t parse_i64(const char* prefix, const std::string& key, const std::string& v) {
+  errno = 0;
+  char* end = nullptr;
+  const long long out = std::strtoll(v.c_str(), &end, 10);
+  if (errno != 0 || end == v.c_str() || *end != '\0')
+    throw std::invalid_argument(std::string(prefix) + ": bad integer for " + key + ": '" +
+                                v + "'");
+  return static_cast<std::int64_t>(out);
+}
+
+double parse_f64(const char* prefix, const std::string& key, const std::string& v) {
+  errno = 0;
+  char* end = nullptr;
+  const double out = std::strtod(v.c_str(), &end);
+  if (errno != 0 || end == v.c_str() || *end != '\0')
+    throw std::invalid_argument(std::string(prefix) + ": bad number for " + key + ": '" +
+                                v + "'");
+  return out;
+}
+
+std::string fmt_f64(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
 }
 
 std::string format_duration(fs_t t) {

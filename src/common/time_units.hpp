@@ -76,4 +76,15 @@ std::string format_duration(fs_t t);
 /// duration flag (--metrics-interval, --holdover-ceiling, the watchdog knobs).
 fs_t parse_duration(const std::string& text);
 
+/// Strict number parsing for the repro-text grammars (stress specs, chaos
+/// plans): the whole of `v` must be one base-10 integer (parse_i64) or one
+/// strtod number (parse_f64), else std::invalid_argument reading
+/// "<prefix>: bad integer|number for <key>: '<v>'".
+std::int64_t parse_i64(const char* prefix, const std::string& key, const std::string& v);
+double parse_f64(const char* prefix, const std::string& key, const std::string& v);
+
+/// Shortest-safe round-trip text for a double ("%.17g"), the repro grammars'
+/// only float format.
+std::string fmt_f64(double v);
+
 }  // namespace dtpsim

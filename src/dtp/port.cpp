@@ -41,8 +41,7 @@ PortLogic::PortLogic(Agent& agent, phy::PhyPort& port, std::size_t index)
 PortLogic::~PortLogic() {
   auto& sim = agent_.simulator();
   sim.cancel(beacon_timer_);
-  sim.bridge_cancel(beacon_step_);
-  beacon_step_ = {};
+  sim.cancel(beacon_step_);
   sim.cancel(init_retry_);
   // Every one of these captures `this`; the PHY port outlives us (it belongs
   // to the device, we belong to the agent), so they must go.
@@ -112,8 +111,7 @@ void PortLogic::handle_link_down() {
   init_echo_wait_.reset();
   auto& sim = agent_.simulator();
   sim.cancel(beacon_timer_);
-  sim.bridge_cancel(beacon_step_);
-  beacon_step_ = {};
+  sim.cancel(beacon_step_);
   sim.cancel(init_retry_);
   agent_.port_went_down(index_);
 }
@@ -178,8 +176,7 @@ void PortLogic::reinit() {
   consecutive_filtered_ = 0;
   auto& sim = agent_.simulator();
   sim.cancel(beacon_timer_);
-  sim.bridge_cancel(beacon_step_);
-  beacon_step_ = {};
+  sim.cancel(beacon_step_);
   sim.cancel(init_retry_);
   if (!port_.link_up()) {
     set_state(PortState::kDown);
@@ -315,18 +312,12 @@ void PortLogic::schedule_beacon() {
   const std::int64_t due = osc.tick_at(sim.now()) + agent_.params().beacon_interval_ticks;
   const fs_t at = osc.edge_of_tick(due);
   if (sim.bridged()) {
-    // POD step at the timer's exact (time, key) position. Overwriting the
-    // token without cancelling mirrors the exact handle semantics: a stale
-    // chain keeps firing until its state check kills it.
-    sim::EventQueue::BridgeStep step;
-    step.fire = [](void* client, const sim::EventQueue::BridgeStep&, fs_t) {
-      static_cast<PortLogic*>(client)->bridge_fire_beacon();
-    };
-    step.client = this;
-    step.node = port_.node();
-    step.cat = sim::EventCategory::kBeacon;
-    step.kind = sim::EventQueue::BridgeKind::kTx;
-    beacon_step_ = sim.bridge_schedule(port_.node(), at, step);
+    // Bridged step at the timer's exact (time, key) position. Overwriting
+    // the handle without cancelling mirrors the exact path: a stale chain
+    // keeps firing until its state check kills it.
+    beacon_step_ = sim.bridge_schedule(port_.node(), at, [this] { bridge_fire_beacon(); },
+                                       sim::EventCategory::kBeacon,
+                                       sim::EventQueue::BridgeKind::kTx, this);
     return;
   }
   beacon_timer_ = sim.schedule_at(at, [this] { send_beacon(); },

@@ -229,7 +229,7 @@ class PortLogic {
   std::optional<WideCounter> frozen_gc_;      ///< gc latched at freeze (tx)
   PortStats stats_;
   sim::EventHandle beacon_timer_;
-  sim::Simulator::BridgeToken beacon_step_;  ///< bridged-mode beacon timer
+  sim::EventHandle beacon_step_;  ///< bridged-mode beacon timer
   sim::EventHandle init_retry_;
   obs::Hub* obs_hub_ = nullptr;  ///< trace attachment; null in bare runs
   std::uint32_t obs_track_ = 0;

@@ -141,16 +141,24 @@ void PhyPort::fuse_fire_control(const ControlFactory& factory) {
   schedule_control_service();
 }
 
-void PhyPort::bridge_arrival_step(void* client, const sim::EventQueue::BridgeStep& s,
-                                  fs_t t) {
-  static_cast<PhyPort*>(client)->bridge_arrival(s.a, t, (s.d & 1) != 0);
+auto PhyPort::visibility_event(std::uint64_t bits56, fs_t wire_arrival,
+                               const CrossingResult& crossing, bool corrupted) {
+  // Capture only what now() cannot rebuild — the event fires at the
+  // crossing's visible edge — so the closure fits Callback's inline buffer.
+  const std::int64_t visible_tick = crossing.visible_tick;
+  const std::int32_t flags = (crossing.random_extra & 1) | (corrupted ? 2 : 0);
+  return [this, bits56, wire_arrival, visible_tick, flags] {
+    const CrossingResult crossing{visible_tick, sim_.now(), flags & 1};
+    apply_control(ControlRx{bits56, wire_arrival, crossing, (flags & 2) != 0});
+  };
 }
 
-void PhyPort::bridge_arrival(std::uint64_t bits56, fs_t wire_arrival, bool corrupted) {
+void PhyPort::bridge_arrival(std::uint64_t bits56, bool corrupted) {
   // Mirrors deliver_control: the CDC crossing draws its RNG at the arrival
   // instant, then visibility is armed for the crossing's edge. When nothing
   // can fire in between — and the edge is inside the active run horizon —
   // the visibility event is fused inline instead of re-entering the heap.
+  const fs_t wire_arrival = sim_.now();
   const CrossingResult crossing = fifo_.cross(osc_, wire_arrival);
   ++fifo_crossings_;
   fifo_extra_cycles_ += static_cast<std::uint64_t>(crossing.random_extra);
@@ -161,24 +169,10 @@ void PhyPort::bridge_arrival(std::uint64_t bits56, fs_t wire_arrival, bool corru
     apply_control(ControlRx{bits56, wire_arrival, crossing, corrupted});
     return;
   }
-  sim::EventQueue::BridgeStep step;
-  step.fire = &PhyPort::bridge_apply_step;
-  step.client = this;
-  step.a = bits56;
-  step.b = wire_arrival;
-  step.c = crossing.visible_tick;
-  step.d = (crossing.random_extra & 1) | (corrupted ? 2 : 0);
-  step.node = node_;
-  step.cat = sim::EventCategory::kFrame;
-  step.kind = sim::EventQueue::BridgeKind::kApply;
-  sim_.bridge_schedule(node_, crossing.visible_time, step);
-}
-
-void PhyPort::bridge_apply_step(void* client, const sim::EventQueue::BridgeStep& s,
-                                fs_t t) {
-  const CrossingResult crossing{s.c, t, static_cast<int>(s.d & 1)};
-  static_cast<PhyPort*>(client)->apply_control(
-      ControlRx{s.a, s.b, crossing, (s.d & 2) != 0});
+  sim_.bridge_schedule(node_, crossing.visible_time,
+                       visibility_event(bits56, wire_arrival, crossing, corrupted),
+                       sim::EventCategory::kFrame, sim::EventQueue::BridgeKind::kApply,
+                       this);
 }
 
 void PhyPort::apply_control(const ControlRx& rx) {
@@ -213,17 +207,9 @@ void PhyPort::deliver_control(std::uint64_t bits56, fs_t tx_end, bool corrupted)
   ++fifo_crossings_;
   fifo_extra_cycles_ += static_cast<std::uint64_t>(crossing.random_extra);
   sim::ScopedAffinity aff(node_);
-  // Capture only what now() cannot rebuild — the event fires at the
-  // crossing's visible edge — so the closure fits Callback's inline buffer.
-  const std::int64_t visible_tick = crossing.visible_tick;
-  const std::int32_t flags = (crossing.random_extra & 1) | (corrupted ? 2 : 0);
-  sim_.schedule_at(
-      crossing.visible_time,
-      [this, bits56, wire_arrival, visible_tick, flags] {
-        const CrossingResult crossing{visible_tick, sim_.now(), flags & 1};
-        apply_control(ControlRx{bits56, wire_arrival, crossing, (flags & 2) != 0});
-      },
-      sim::EventCategory::kFrame);
+  sim_.schedule_at(crossing.visible_time,
+                   visibility_event(bits56, wire_arrival, crossing, corrupted),
+                   sim::EventCategory::kFrame);
 }
 
 void PhyPort::deliver_frame(FrameRx rx) {
@@ -267,9 +253,9 @@ void Cable::disconnect() {
   for (std::size_t i = 0; i < ring_count_; ++i)
     sim_.cancel(ring_[(ring_head_ + i) & mask]);
   ring_head_ = ring_count_ = 0;
-  // Cross-shard deliveries went through mailboxes, and bridged arrivals are
-  // POD steps; neither has a handle. Both are tagged with this cable and
-  // purged directly from the queues.
+  // Cross-shard deliveries went through mailboxes, and bridged arrivals stay
+  // out of the ring; neither is tracked by handle. Both are tagged with this
+  // cable and purged directly from the queues.
   if (sim_.parallel() || sim_.bridged()) sim_.purge_deliveries(this);
   a_.link_lost();
   b_.link_lost();
@@ -364,19 +350,15 @@ void Cable::transmit_control(PhyPort& from, std::uint64_t bits56, fs_t tx_end) {
   const std::uint64_t key =
       (static_cast<std::uint64_t>(dir_id_[dir]) << 32) | tx_seq_[dir]++;
   if (sim_.bridged()) {
-    // POD arrival step on the destination queue at the same (time, link key)
-    // the exact delivery event would occupy. Cross-shard sends from a worker
-    // still take the exact mailbox path below.
-    sim::EventQueue::BridgeStep step;
-    step.fire = &PhyPort::bridge_arrival_step;
-    step.client = &to;
-    step.owner = this;  // disconnect() purges in-flight deliveries by owner
-    step.a = bits56;
-    step.d = corrupted ? 1 : 0;
-    step.node = to.node();
-    step.cat = sim::EventCategory::kFrame;
-    step.kind = sim::EventQueue::BridgeKind::kArrival;
-    if (sim_.bridge_deliver_link(to.node(), arrival, key, step)) return;
+    // Arrival step on the destination queue at the same (time, link key)
+    // the exact delivery event would occupy; disconnect() purges it by
+    // owner. Cross-shard sends from a worker take the mailbox path below.
+    if (sim_.bridge_deliver_link(
+                to.node(), arrival,
+                [&to, bits56, corrupted] { to.bridge_arrival(bits56, corrupted); },
+                sim::EventCategory::kFrame, this, key)
+            .valid())
+      return;
   }
   track(sim_.deliver_link(
       from.node(), to.node(), arrival,

@@ -198,16 +198,14 @@ class PhyPort {
   /// Take the oldest queued factory (the queue must not be empty).
   ControlFactory pop_control();
 
-  // Bridged-step trampolines and bodies. The arrival step replaces the link
-  // delivery event (CDC crossing at the wire-arrival instant); the apply
-  // step replaces the visibility event (probe + on_control at the crossing's
-  // visible edge). Payload packing: a = bits56, b = wire arrival, c =
-  // visible tick, d = bit0 random_extra | bit1 corrupted.
-  static void bridge_arrival_step(void* client,
-                                  const sim::EventQueue::BridgeStep& s, fs_t t);
-  static void bridge_apply_step(void* client,
-                                const sim::EventQueue::BridgeStep& s, fs_t t);
-  void bridge_arrival(std::uint64_t bits56, fs_t wire_arrival, bool corrupted);
+  // Bridged-step bodies. The arrival step replaces the link delivery event
+  // (CDC crossing at the wire-arrival instant, which is now()); the apply
+  // step is the visibility event armed as a bridged step.
+  void bridge_arrival(std::uint64_t bits56, bool corrupted);
+  /// The CDC visibility event's closure (probe + on_control at the
+  /// crossing's visible edge), armed exact or bridged.
+  auto visibility_event(std::uint64_t bits56, fs_t wire_arrival,
+                        const CrossingResult& crossing, bool corrupted);
   /// Hand a visible control block to the probe and the upper layer (the
   /// body of the CDC visibility event, exact or bridged).
   void apply_control(const ControlRx& rx);

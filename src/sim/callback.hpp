@@ -11,7 +11,10 @@
 /// pays a type-erased manager call on every move — and events are moved on
 /// every heap sift. Callables that are too big, over-aligned, or throwing on
 /// move fall back to a single heap allocation, so correctness never depends
-/// on fitting inline.
+/// on fitting inline. An inline callable that is trivially copyable — the
+/// common capture of `this` plus payload words — moves by memcpy and needs
+/// no destroy call, so an event costs one indirect call (its invoke), as
+/// much as a bare function pointer would.
 ///
 /// The buffer is sized so sizeof(Callback) == 48 and the event-queue slot
 /// that embeds it lands on exactly one 64-byte cache line (event_queue.hpp);
@@ -20,6 +23,7 @@
 /// degrading the hot path.
 
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -74,7 +78,7 @@ class Callback {
 
   void reset() noexcept {
     if (ops_ != nullptr) {
-      ops_->destroy(buf_);
+      if (!ops_->trivial) ops_->destroy(buf_);
       ops_ = nullptr;
     }
   }
@@ -86,6 +90,7 @@ class Callback {
     void (*relocate)(void* dst, void* src) noexcept;
     void (*destroy)(void*) noexcept;
     bool heap;
+    bool trivial;  // inline and trivially copyable: memcpy moves, no destroy
   };
 
   template <typename D>
@@ -103,6 +108,7 @@ class Callback {
       },
       [](void* p) noexcept { static_cast<D*>(p)->~D(); },
       false,
+      std::is_trivially_copyable_v<D>,
   };
 
   template <typename D>
@@ -113,6 +119,7 @@ class Callback {
       },
       [](void* p) noexcept { delete static_cast<D*>(*static_cast<void**>(p)); },
       true,
+      false,
   };
 
   void*& ptr_slot() noexcept { return *reinterpret_cast<void**>(buf_); }
@@ -120,7 +127,11 @@ class Callback {
   void steal(Callback& other) noexcept {
     if (other.ops_ != nullptr) {
       ops_ = other.ops_;
-      ops_->relocate(buf_, other.buf_);
+      if (ops_->trivial) {
+        std::memcpy(buf_, other.buf_, kInlineSize);
+      } else {
+        ops_->relocate(buf_, other.buf_);
+      }
       other.ops_ = nullptr;
     }
   }

@@ -22,25 +22,42 @@ EventQueue::Handle EventQueue::schedule(fs_t t, Callback&& fn, EventCategory cat
                                         std::int32_t node, const void* owner) {
   ++scheduled_;
   return insert(t, std::move(fn), cat, node, owner,
-                node_class_key(next_seq_++, node >= 0));
+                node_class_key(next_seq_++, node >= 0), heap_);
 }
 
 EventQueue::Handle EventQueue::schedule_link(fs_t t, Callback&& fn, EventCategory cat,
                                              std::int32_t node, const void* owner,
                                              std::uint64_t link_sub) {
   ++scheduled_;
-  return insert(t, std::move(fn), cat, node, owner, link_class_key(link_sub));
+  return insert(t, std::move(fn), cat, node, owner, link_class_key(link_sub), heap_);
 }
 
 EventQueue::Handle EventQueue::schedule_migrated(fs_t t, Callback&& fn,
                                                  EventCategory cat, std::int32_t node,
                                                  const void* owner, std::uint64_t key) {
-  return insert(t, std::move(fn), cat, node, owner, key);
+  return insert(t, std::move(fn), cat, node, owner, key, heap_);
+}
+
+EventQueue::Handle EventQueue::bridge_schedule(fs_t t, Callback&& fn, EventCategory cat,
+                                               std::int32_t node, BridgeKind kind,
+                                               const void* client) {
+  ++scheduled_;
+  return insert_bridged(t, std::move(fn), cat, node, nullptr,
+                        node_class_key(next_seq_++, true), kind, client);
+}
+
+EventQueue::Handle EventQueue::bridge_schedule_link(fs_t t, Callback&& fn,
+                                                    EventCategory cat, std::int32_t node,
+                                                    const void* owner,
+                                                    std::uint64_t link_sub) {
+  ++scheduled_;
+  return insert_bridged(t, std::move(fn), cat, node, owner, link_class_key(link_sub),
+                        BridgeKind::kArrival, nullptr);
 }
 
 EventQueue::Handle EventQueue::insert(fs_t t, Callback&& fn, EventCategory cat,
                                       std::int32_t node, const void* owner,
-                                      std::uint64_t key) {
+                                      std::uint64_t key, Heap& heap) {
   if (t < now_) throw std::logic_error("EventQueue: scheduling into the past");
   if (fn && !fn.is_inline()) ++callback_spills_;
   const std::uint32_t slot = acquire_slot();
@@ -49,19 +66,45 @@ EventQueue::Handle EventQueue::insert(fs_t t, Callback&& fn, EventCategory cat,
   s.cat = cat;
   s.node = node;
   s.queued = true;
+  s.bridged = &heap == &bridge_heap_;
   owners_[slot] = owner;
-  heap_push(HeapEntry{t, key, slot, s.gen});
-  const std::size_t depth = ++live_ + bheap_.size();
-  if (depth > peak_pending_) peak_pending_ = depth;
+  heap.push(HeapEntry{t, key, slot, s.gen});
+  ++heap.live;
+  if (size() > peak_pending_) peak_pending_ = size();
   return Handle{slot, s.gen};
+}
+
+EventQueue::Handle EventQueue::insert_bridged(fs_t t, Callback&& fn, EventCategory cat,
+                                              std::int32_t node, const void* owner,
+                                              std::uint64_t key, BridgeKind kind,
+                                              const void* client) {
+  const Handle h = insert(t, std::move(fn), cat, node, owner, key, bridge_heap_);
+  if (node >= 0) {
+    if (static_cast<std::size_t>(node) >= node_pending_.size())
+      node_pending_.resize(static_cast<std::size_t>(node) + 1);
+    node_pending_[static_cast<std::size_t>(node)].push_back(
+        NodePending{t, client, h.slot, kind});
+  }
+  return h;
+}
+
+void EventQueue::unlist(std::int32_t node, std::uint32_t slot) {
+  if (node < 0 || static_cast<std::size_t>(node) >= node_pending_.size()) return;
+  std::vector<NodePending>& v = node_pending_[static_cast<std::size_t>(node)];
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (v[i].slot == slot) {
+      v[i] = v.back();
+      v.pop_back();
+      return;
+    }
+  }
 }
 
 bool EventQueue::cancel(Handle h) {
   if (!h.valid() || h.slot >= slot_count_) return false;
   const Slot& s = slot_at(h.slot);
   if (s.gen != h.gen || !s.queued) return false;
-  drop(h.slot);
-  settle();
+  settle(drop(h.slot));
   return true;
 }
 
@@ -76,46 +119,43 @@ std::size_t EventQueue::purge_owner(const void* owner) {
     drop(slot);
     ++purged;
   }
-  if (purged != 0) settle();
-  for (std::uint32_t idx = 0; idx < bridge_slots_.size(); ++idx) {
-    BridgeSlot& s = bridge_slots_[idx];
-    if (s.heap_pos != kNoHeapPos && s.step.owner == owner) {
-      bheap_remove(s.heap_pos);
-      bridge_release(idx);
-      ++cancelled_;
-      ++purged;
-    }
+  if (purged != 0) {
+    settle(heap_);
+    settle(bridge_heap_);
   }
   return purged;
 }
 
-void EventQueue::drop(std::uint32_t slot) {
+EventQueue::Heap& EventQueue::drop(std::uint32_t slot) {
   Slot& s = slot_at(slot);
+  Heap& h = s.bridged ? bridge_heap_ : heap_;
+  if (s.bridged) unlist(s.node, slot);
   s.queued = false;
   recycle(slot, ++s.gen != 0);
-  --live_;
-  ++stale_;
+  --h.live;
+  ++h.stale;
   ++cancelled_;
+  return h;
 }
 
-void EventQueue::settle() {
-  if (stale_ > live_ && stale_ > kCompactFloor) {
-    compact();
+void EventQueue::settle(Heap& h) {
+  if (h.stale > h.live && h.stale > kCompactFloor) {
+    compact(h);
   } else {
-    skip_stale();
+    skip_stale(h);
   }
 }
 
-void EventQueue::compact() {
+void EventQueue::compact(Heap& h) {
   std::size_t n = 0;
-  for (const HeapEntry& e : heap_)
-    if (live(e)) heap_[n++] = e;
-  heap_.resize(n);
-  stale_ = 0;
+  for (const HeapEntry& e : h.v)
+    if (live(e)) h.v[n++] = e;
+  h.v.resize(n);
+  h.stale = 0;
   // Floyd's bottom-up heapify. The pop order is fixed by the (time, key)
   // total order, not by the heap's shape, so a rebuild is unobservable.
   if (n > 1)
-    for (std::size_t i = (n - 2) / kArity + 1; i-- > 0;) sift_down(i, heap_[i]);
+    for (std::size_t i = (n - 2) / kArity + 1; i-- > 0;) h.sift_down(i, h.v[i]);
 }
 
 std::uint64_t EventQueue::run(fs_t horizon, bool inclusive) {
@@ -128,22 +168,10 @@ std::uint64_t EventQueue::run(fs_t horizon, bool inclusive) {
   running_ = true;
   run_horizon_ = horizon;
   run_inclusive_ = inclusive;
-  for (;;) {
-    const bool bfirst = bridge_first();
-    fs_t t;
-    if (bfirst) {
-      t = bheap_.front().time;
-    } else if (!heap_.empty()) {
-      t = heap_.front().time;
-    } else {
-      break;
-    }
+  while (Heap* h = first_heap()) {
+    const fs_t t = h->front().time;
     if (inclusive ? t > horizon : t >= horizon) break;
-    if (bfirst) {
-      fire_bridge_top();
-    } else {
-      fire_top();
-    }
+    fire_top(*h);
     ++fired;
   }
   running_ = prev_running;
@@ -154,30 +182,29 @@ std::uint64_t EventQueue::run(fs_t horizon, bool inclusive) {
 }
 
 bool EventQueue::fire_one() {
-  if (heap_.empty() && bheap_.empty()) return false;
+  Heap* const h = first_heap();
+  if (h == nullptr) return false;
   EventQueue* const prev_queue = detail::tls_queue;
   detail::tls_queue = this;
-  if (bridge_first()) {
-    fire_bridge_top();
-  } else {
-    fire_top();
-  }
+  fire_top(*h);
   detail::tls_queue = prev_queue;
   return true;
 }
 
-void EventQueue::fire_top() {
-  const HeapEntry top = heap_.front();
-  heap_pop_top();
-  skip_stale();
+void EventQueue::fire_top(Heap& h) {
+  const HeapEntry top = h.front();
+  h.pop_top();
+  skip_stale(h);
   Slot& s = slot_at(top.slot);
   // Retire the handle before invoking: the callback may cancel its own (now
-  // stale) handle, and is_pending() already reports it gone. The callback
-  // then runs in place — slots never move and this one is not on the free
-  // list yet, so whatever it schedules lands in other slots.
+  // stale) handle, and is_pending() already reports it gone. A bridged step
+  // leaves its node's registry first, so its own gate does not see it. The
+  // callback then runs in place — slots never move and this one is not on
+  // the free list yet, so whatever it schedules lands in other slots.
+  if (s.bridged) unlist(s.node, top.slot);
   s.queued = false;
   const bool reusable = ++s.gen != 0;
-  --live_;
+  --h.live;
   now_ = top.time;
   ++executed_;
   ++executed_by_category_[static_cast<std::size_t>(s.cat)];
@@ -186,71 +213,6 @@ void EventQueue::fire_top() {
   s.fn();
   detail::tls_affinity = prev_affinity;
   recycle(top.slot, reusable);
-}
-
-void EventQueue::fire_bridge_top() {
-  const BridgeEntry top = bheap_pop_top();
-  // Copy the POD out and free the slab entry before invoking, mirroring
-  // fire_top: the step may arm its successor into the freed entry.
-  const BridgeStep step = bridge_slots_[top.idx].step;
-  bridge_release(top.idx);
-  now_ = top.time;
-  ++executed_;
-  ++executed_by_category_[static_cast<std::size_t>(step.cat)];
-  const std::int32_t prev_affinity = detail::tls_affinity;
-  detail::tls_affinity = step.node;
-  step.fire(step.client, step, top.time);
-  detail::tls_affinity = prev_affinity;
-}
-
-std::uint64_t EventQueue::bridge_schedule(fs_t t, const BridgeStep& step) {
-  ++scheduled_;
-  return bridge_insert(t, node_class_key(next_seq_++, true), step);
-}
-
-std::uint64_t EventQueue::bridge_schedule_link(fs_t t, std::uint64_t link_sub,
-                                               const BridgeStep& step) {
-  ++scheduled_;
-  return bridge_insert(t, link_class_key(link_sub), step);
-}
-
-std::uint64_t EventQueue::bridge_insert(fs_t t, std::uint64_t key,
-                                        const BridgeStep& step) {
-  if (t < now_) throw std::logic_error("EventQueue: bridged step into the past");
-  if (step.fire == nullptr)
-    throw std::invalid_argument("EventQueue: bridged step without a fire fn");
-  std::uint32_t idx;
-  if (!bridge_free_.empty()) {
-    idx = bridge_free_.back();
-    bridge_free_.pop_back();
-  } else {
-    bridge_slots_.emplace_back();
-    idx = static_cast<std::uint32_t>(bridge_slots_.size() - 1);
-  }
-  BridgeSlot& s = bridge_slots_[idx];
-  s.step = step;
-  if (step.node >= 0) {
-    if (static_cast<std::size_t>(step.node) >= node_pending_.size())
-      node_pending_.resize(static_cast<std::size_t>(step.node) + 1);
-    node_pending_[static_cast<std::size_t>(step.node)].push_back(
-        NodePending{t, step.client, idx, step.kind});
-  }
-  bheap_push(BridgeEntry{t, key, idx});
-  const std::size_t depth = live_ + bheap_.size();
-  if (depth > peak_pending_) peak_pending_ = depth;
-  return bridge_token(idx, s.gen);
-}
-
-bool EventQueue::bridge_cancel(std::uint64_t token) {
-  const auto idx = static_cast<std::uint32_t>(token);
-  const auto gen = static_cast<std::uint32_t>(token >> 32);
-  if (gen == 0 || idx >= bridge_slots_.size()) return false;
-  const BridgeSlot& s = bridge_slots_[idx];
-  if (s.gen != gen || s.heap_pos == kNoHeapPos) return false;
-  bheap_remove(s.heap_pos);
-  bridge_release(idx);
-  ++cancelled_;
-  return true;
 }
 
 std::uint64_t EventQueue::bridge_virtual_schedule() {
@@ -316,94 +278,24 @@ bool EventQueue::bridge_apply_fusible(std::int32_t node, fs_t t) const {
   return true;
 }
 
-void EventQueue::bridge_release(std::uint32_t idx) {
-  BridgeSlot& s = bridge_slots_[idx];
-  const std::int32_t node = s.step.node;
-  if (node >= 0 && static_cast<std::size_t>(node) < node_pending_.size()) {
-    std::vector<NodePending>& v = node_pending_[node];
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      if (v[i].idx == idx) {
-        v[i] = v.back();
-        v.pop_back();
-        break;
-      }
-    }
-  }
-  s.step = BridgeStep{};
-  s.heap_pos = kNoHeapPos;
-  if (++s.gen != 0) bridge_free_.push_back(idx);
-}
-
-void EventQueue::bheap_push(BridgeEntry e) {
-  bheap_.emplace_back();  // make room; bsift_up fills it
-  bsift_up(bheap_.size() - 1, e);
-}
-
-EventQueue::BridgeEntry EventQueue::bheap_pop_top() {
-  const BridgeEntry top = bheap_.front();
-  bridge_slots_[top.idx].heap_pos = kNoHeapPos;
-  const BridgeEntry last = bheap_.back();
-  bheap_.pop_back();
-  if (!bheap_.empty()) bsift_down(0, last);
-  return top;
-}
-
-void EventQueue::bheap_remove(std::uint32_t pos) {
-  bridge_slots_[bheap_[pos].idx].heap_pos = kNoHeapPos;
-  const BridgeEntry last = bheap_.back();
-  bheap_.pop_back();
-  if (pos == bheap_.size()) return;  // removed the tail
-  if (pos > 0 && bearlier(last, bheap_[(pos - 1) / kArity])) {
-    bsift_up(pos, last);
-  } else {
-    bsift_down(pos, last);
-  }
-}
-
-void EventQueue::bsift_up(std::size_t pos, BridgeEntry e) {
-  while (pos > 0) {
-    const std::size_t parent = (pos - 1) / kArity;
-    if (!bearlier(e, bheap_[parent])) break;
-    bplace(pos, bheap_[parent]);
-    pos = parent;
-  }
-  bplace(pos, e);
-}
-
-void EventQueue::bsift_down(std::size_t pos, BridgeEntry e) {
-  const std::size_t n = bheap_.size();
-  for (;;) {
-    const std::size_t first_child = pos * kArity + 1;
-    if (first_child >= n) break;
-    const std::size_t last_child = std::min(first_child + kArity, n);
-    std::size_t best = first_child;
-    for (std::size_t c = first_child + 1; c < last_child; ++c)
-      if (bearlier(bheap_[c], bheap_[best])) best = c;
-    if (!bearlier(bheap_[best], e)) break;
-    bplace(pos, bheap_[best]);
-    pos = best;
-  }
-  bplace(pos, e);
-}
-
 std::vector<EventQueue::Extracted> EventQueue::extract_node_events() {
   std::vector<HeapEntry> entries;
-  entries.reserve(live_);
-  for (const HeapEntry& e : heap_)
+  entries.reserve(heap_.live);
+  for (const HeapEntry& e : heap_.v)
     if (live(e)) entries.push_back(e);
   std::sort(entries.begin(), entries.end(), earlier);
-  heap_.clear();
-  stale_ = 0;
+  heap_.v.clear();
+  heap_.stale = 0;
   std::vector<Extracted> out;
   for (const HeapEntry& e : entries) {
     Slot& s = slot_at(e.slot);
     if (s.node < 0) {
       // Global event: stays here. Re-push preserving the original key (the
       // slot and generation are untouched, so handles remain valid).
-      heap_push(e);
+      heap_.push(e);
     } else {
       s.queued = false;
-      --live_;
+      --heap_.live;
       out.push_back(Extracted{e.time, e.key, s.node, s.cat, owners_[e.slot],
                               std::move(s.fn), e.slot});
       owners_[e.slot] = nullptr;  // the tag moves with the event
@@ -430,7 +322,7 @@ void EventQueue::accumulate(SimStats& st) const {
   st.cancelled += cancelled_;
   for (std::size_t i = 0; i < kEventCategoryCount; ++i)
     st.executed_by_category[i] += executed_by_category_[i];
-  st.pending += live_ + bheap_.size();
+  st.pending += size();
   st.peak_pending += peak_pending_;
   st.fused += fused_;
   st.callback_spills += callback_spills_;
@@ -456,41 +348,36 @@ void EventQueue::recycle(std::uint32_t slot, bool reusable) {
   if (reusable) free_slots_.push_back(slot);
 }
 
-void EventQueue::heap_push(HeapEntry e) {
-  heap_.emplace_back();  // make room; sift_up fills it
-  sift_up(heap_.size() - 1, e);
+void EventQueue::Heap::pop_top() {
+  const HeapEntry last = v.back();
+  v.pop_back();
+  if (!v.empty()) sift_down(0, last);
 }
 
-void EventQueue::heap_pop_top() {
-  const HeapEntry last = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) sift_down(0, last);
-}
-
-void EventQueue::sift_up(std::size_t pos, HeapEntry e) {
+void EventQueue::Heap::sift_up(std::size_t pos, HeapEntry e) {
   while (pos > 0) {
     const std::size_t parent = (pos - 1) / kArity;
-    if (!earlier(e, heap_[parent])) break;
-    heap_[pos] = heap_[parent];
+    if (!earlier(e, v[parent])) break;
+    v[pos] = v[parent];
     pos = parent;
   }
-  heap_[pos] = e;
+  v[pos] = e;
 }
 
-void EventQueue::sift_down(std::size_t pos, HeapEntry e) {
-  const std::size_t n = heap_.size();
+void EventQueue::Heap::sift_down(std::size_t pos, HeapEntry e) {
+  const std::size_t n = v.size();
   for (;;) {
     const std::size_t first_child = pos * kArity + 1;
     if (first_child >= n) break;
     const std::size_t last_child = std::min(first_child + kArity, n);
     std::size_t best = first_child;
     for (std::size_t c = first_child + 1; c < last_child; ++c)
-      if (earlier(heap_[c], heap_[best])) best = c;
-    if (!earlier(heap_[best], e)) break;
-    heap_[pos] = heap_[best];
+      if (earlier(v[c], v[best])) best = c;
+    if (!earlier(v[best], e)) break;
+    v[pos] = v[best];
     pos = best;
   }
-  heap_[pos] = e;
+  v[pos] = e;
 }
 
 }  // namespace dtpsim::sim

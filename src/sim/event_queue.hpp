@@ -1,8 +1,10 @@
 #pragma once
 
 /// \file event_queue.hpp
-/// One event queue: a slab of generation-counted slots addressed by a 4-ary
-/// min-heap of generation-stamped entries.
+/// One event queue: a slab of generation-counted slots addressed by two
+/// instances of one lazy-cancel 4-ary min-heap of generation-stamped entries
+/// — ordinary events in one, bridged steps (DESIGN.md §12) in the other —
+/// merged by (time, key) as they fire.
 ///
 /// The serial simulator owns exactly one of these; the parallel engine owns
 /// one per shard plus the coordinator's global queue (see parallel.hpp). A
@@ -123,14 +125,15 @@ class EventQueue {
   void advance_now(fs_t t) {
     if (t > now_) now_ = t;
   }
-  bool empty() const { return live_ == 0 && bheap_.empty(); }
-  std::size_t size() const { return live_ + bheap_.size(); }
-  /// Earliest pending time. The exact heap's front is always a live entry
-  /// (stale ones are dropped as they surface), so this never reports a
-  /// cancelled event.
+  bool empty() const { return size() == 0; }
+  std::size_t size() const { return heap_.live + bridge_heap_.live; }
+  /// Earliest pending time. Each heap's front is always a live entry (stale
+  /// ones are dropped as they surface), so this never reports a cancelled
+  /// event.
   fs_t next_time() const {
     fs_t t = heap_.empty() ? kNoEventTime : heap_.front().time;
-    if (!bheap_.empty() && bheap_.front().time < t) t = bheap_.front().time;
+    if (!bridge_heap_.empty() && bridge_heap_.front().time < t)
+      t = bridge_heap_.front().time;
     return t;
   }
 
@@ -163,8 +166,8 @@ class EventQueue {
   }
 
   /// Remove (and count as cancelled) every pending event tagged with
-  /// `owner`. O(slab). Used by Cable::disconnect for mailbox-routed
-  /// deliveries that returned no handle.
+  /// `owner`. O(slab). Used by Cable::disconnect for the deliveries it holds
+  /// no handle for: mailbox-routed ones and bridged arrivals.
   std::size_t purge_owner(const void* owner);
 
   /// Fire events in key order while the front's time is < horizon (or <=
@@ -175,15 +178,16 @@ class EventQueue {
   /// Fire exactly one event if any is pending.
   bool fire_one();
 
-  // --- Bridged fast-forward steps (DESIGN.md §12) ---------------------------
+  // --- Bridged steps (DESIGN.md §12) ---------------------------------------
   //
-  // A bridged step is a POD replacement for one quiet-path event: instead of
-  // a generation-counted slot holding a Callback closure, the step stores a
-  // bare function pointer plus a few payload words in its own slab, merged
-  // with the real heap by (time, key). Because a step is armed at the exact
-  // call position where the event it replaces would have consumed a sequence
-  // number — and fires at the same (time, key) — every counter, RNG draw
-  // position, and tie order is bit-identical to the cycle-exact engine.
+  // A bridged step is an ordinary event — slot, callback, handle, cancel,
+  // owner purge — that waits in a second instance of the heap and is listed
+  // in its node's pending registry, so the fusion gates below can ask "is
+  // any exact event, or any step of this node, ahead of (t, key)?" without
+  // scanning the merged order. A step is armed at the exact call position
+  // where the event it replaces would have consumed a sequence number, and
+  // fires at the same (time, key), so every counter, RNG draw position, and
+  // tie order is bit-identical to the cycle-exact engine.
 
   /// What a bridged step does to its node's state. The fusion gates use this
   /// to decide which *pending* steps a fused event may run ahead of: steps on
@@ -197,39 +201,18 @@ class EventQueue {
     kApply,      ///< CDC visibility: delivers control, mutates agent counters
   };
 
-  /// One bridged step. `fire(client, step, t)` runs when the step's (time,
-  /// key) reaches the front; `t` is the step's time (== now() by then). The
-  /// payload words a/b/c/d are opaque to the queue.
-  struct BridgeStep {
-    void (*fire)(void* client, const BridgeStep& step, fs_t t) = nullptr;
-    void* client = nullptr;
-    const void* owner = nullptr;  ///< purge_owner tag (cable deliveries)
-    std::uint64_t a = 0;          ///< payload word (e.g. 56-bit idle block)
-    fs_t b = 0;                   ///< payload time (e.g. wire arrival)
-    std::int64_t c = 0;           ///< payload index (e.g. visible tick)
-    std::int32_t d = 0;           ///< payload flags (e.g. extra | corrupted)
-    std::int32_t node = -1;       ///< affinity the fire runs under
-    EventCategory cat = EventCategory::kGeneric;
-    BridgeKind kind = BridgeKind::kOther;
-  };
+  /// Arm a node-class step for `node`: consumes the next sequence number and
+  /// counts as scheduled, exactly like schedule() would for the event it
+  /// replaces. `client` identifies the step to the gates (a beacon timer's
+  /// port logic). Cancel it through cancel() like any event.
+  Handle bridge_schedule(fs_t t, Callback&& fn, EventCategory cat, std::int32_t node,
+                         BridgeKind kind, const void* client);
 
-  /// Arm a node-class step: consumes the next sequence number and counts as
-  /// scheduled, exactly like schedule() would for the event it replaces.
-  /// Returns a cancellation token: the step's slab index in the low 32 bits
-  /// and the slab entry's generation (never 0) in the high 32, so 0 is
-  /// reserved invalid. Token semantics mirror Handle generations: a token
-  /// for a fired or cancelled step no-ops in bridge_cancel, even once its
-  /// entry holds a newer step.
-  std::uint64_t bridge_schedule(fs_t t, const BridgeStep& step);
-
-  /// Arm a link-class step with an explicit delivery subkey, like
-  /// schedule_link.
-  std::uint64_t bridge_schedule_link(fs_t t, std::uint64_t link_sub,
-                                     const BridgeStep& step);
-
-  /// Cancel a pending step by token in O(1) (plus its heap removal); counts
-  /// as cancelled. Stale tokens (fired or already cancelled) return false.
-  bool bridge_cancel(std::uint64_t token);
+  /// Arm a link-class arrival step with an explicit delivery subkey, like
+  /// schedule_link; `owner` tags it for purge_owner.
+  Handle bridge_schedule_link(fs_t t, Callback&& fn, EventCategory cat,
+                              std::int32_t node, const void* owner,
+                              std::uint64_t link_sub);
 
   /// Account for an event that is fused inline and never enters any heap:
   /// consume a sequence number and count a schedule. Must be called at the
@@ -263,7 +246,7 @@ class EventQueue {
     return running_ && (run_inclusive_ ? t <= run_horizon_ : t < run_horizon_);
   }
 
-  std::size_t bridge_pending() const { return bheap_.size(); }
+  std::size_t bridge_pending() const { return bridge_heap_.live; }
 
   // --- Sharding support (Simulator::set_threads) ---------------------------
 
@@ -311,7 +294,6 @@ class EventQueue {
   void accumulate(SimStats& st) const;
 
  private:
-  static constexpr std::uint32_t kNoHeapPos = 0xFFFFFFFFu;  // bridge slab only
   static constexpr std::size_t kArity = 4;  // 4-ary heap: shallow, cache-friendly
   /// Stale entries tolerated before a rebuild: the heap is compacted once
   /// stale entries outnumber both the live ones and this floor, so beyond
@@ -326,15 +308,17 @@ class EventQueue {
   /// and the heap entry that pointed here; a slot whose 32-bit generation
   /// runs out is retired for good rather than wrapped, so neither can ever
   /// alias a later event. `queued` is set while the slot's event waits in
-  /// the heap. Cold metadata lives out of line: the purge_owner tag is in
-  /// `owners_`, so an owner purge scans an 8-byte-stride array instead of
-  /// dragging whole slots through cache.
+  /// a heap; `bridged` says which one (and that the node registry lists it),
+  /// in what was padding. Cold metadata lives out of line: the purge_owner
+  /// tag is in `owners_`, so an owner purge scans an 8-byte-stride array
+  /// instead of dragging whole slots through cache.
   struct Slot {
     Callback fn;
     std::uint32_t gen = 1;
     std::int32_t node = -1;
     EventCategory cat = EventCategory::kGeneric;
     bool queued = false;
+    bool bridged = false;
   };
   static_assert(sizeof(Slot) == 64, "event slot must stay one cache line");
 
@@ -380,88 +364,74 @@ class EventQueue {
     return a.key < b.key;
   }
 
-  /// Slab entry for a bridged step; `heap_pos` == kNoHeapPos marks free.
-  /// `gen` advances each time the step is retired (fired or cancelled), like
-  /// Slot::gen; an entry whose generation runs out is retired for good.
-  struct BridgeSlot {
-    BridgeStep step{};
-    std::uint32_t gen = 1;
-    std::uint32_t heap_pos = kNoHeapPos;
+  /// A lazy-cancel 4-ary min-heap of entries. Cancel never touches it: the
+  /// slot's generation moves on, leaving its entry stale; stale entries are
+  /// popped as they surface, and the heap is rebuilt once they outnumber the
+  /// live ones and kCompactFloor. The queue owns two instances over the one
+  /// slab — `heap_` for ordinary events and `bridge_heap_` for bridged steps
+  /// — because the fusion gates must see the first exact event on its own.
+  struct Heap {
+    std::vector<HeapEntry> v;
+    std::size_t live = 0;   ///< entries whose slot still holds their event
+    std::size_t stale = 0;  ///< entries retired by cancel, not yet popped
+    bool empty() const { return v.empty(); }
+    const HeapEntry& front() const { return v.front(); }
+    void push(HeapEntry e) {
+      v.emplace_back();  // make room; sift_up fills it
+      sift_up(v.size() - 1, e);
+    }
+    void pop_top();
+    void sift_up(std::size_t pos, HeapEntry e);
+    void sift_down(std::size_t pos, HeapEntry e);
   };
-  static std::uint64_t bridge_token(std::uint32_t idx, std::uint32_t gen) {
-    return (static_cast<std::uint64_t>(gen) << 32) | idx;
-  }
-
-  /// Bridge heap entry: same (time, key) order as HeapEntry, indexing the
-  /// bridge slab. Kept as a second heap so the exact hot path never pays for
-  /// the bridge when it is empty.
-  struct BridgeEntry {
-    fs_t time;
-    std::uint64_t key;
-    std::uint32_t idx;
-  };
-
-  static bool bearlier(const BridgeEntry& a, const BridgeEntry& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.key < b.key;
-  }
 
   /// Per-node view of pending bridge steps, so the fusion gates can answer
   /// "is anything of *this node* pending at or before t" without scanning a
   /// heap whose front is usually some other node's step. A node has at most
   /// a handful of pendings (one timer per port, in-flight deliveries), so a
-  /// small vector with swap-remove beats any ordered structure.
+  /// small vector with swap-remove beats any ordered structure. An entry is
+  /// added when its step is armed and removed when the step is cancelled or
+  /// purged, or just before its body runs — a beacon step's own gate would
+  /// otherwise see its own timer and refuse to fuse.
   struct NodePending {
     fs_t time;
     const void* client;
-    std::uint32_t idx;  ///< bridge slab index, for removal
+    std::uint32_t slot;  ///< for removal
     BridgeKind kind;
   };
 
   Handle insert(fs_t t, Callback&& fn, EventCategory cat, std::int32_t node,
-                const void* owner, std::uint64_t key);
+                const void* owner, std::uint64_t key, Heap& heap);
+  Handle insert_bridged(fs_t t, Callback&& fn, EventCategory cat, std::int32_t node,
+                        const void* owner, std::uint64_t key, BridgeKind kind,
+                        const void* client);
+  /// Remove a bridged step's entry from its node's registry.
+  void unlist(std::int32_t node, std::uint32_t slot);
   std::uint32_t acquire_slot();
   /// Destroy the slot's callback and return the slot to the free list
   /// (unless its generations ran out). The caller already retired it.
   void recycle(std::uint32_t slot, bool reusable);
   /// Retire and recycle a pending event's slot, leaving its heap entry stale.
-  void drop(std::uint32_t slot);
+  /// Returns the heap the entry waits in.
+  Heap& drop(std::uint32_t slot);
   /// Restore the live-front invariant after drops, compacting if due.
-  void settle();
-  void compact();
-  void heap_push(HeapEntry e);
-  void heap_pop_top();
+  void settle(Heap& h);
+  void compact(Heap& h);
   /// Pop stale entries off the front until it is live (or the heap empty).
-  void skip_stale() {
-    while (stale_ != 0 && !heap_.empty() && !live(heap_.front())) {
-      heap_pop_top();
-      --stale_;
+  void skip_stale(Heap& h) {
+    while (h.stale != 0 && !h.empty() && !live(h.front())) {
+      h.pop_top();
+      --h.stale;
     }
   }
-  void sift_up(std::size_t pos, HeapEntry e);
-  void sift_down(std::size_t pos, HeapEntry e);
-  void fire_top();
-
-  std::uint64_t bridge_insert(fs_t t, std::uint64_t key, const BridgeStep& step);
-  void bridge_release(std::uint32_t idx);
-  void bheap_push(BridgeEntry e);
-  BridgeEntry bheap_pop_top();
-  void bheap_remove(std::uint32_t pos);
-  void bsift_up(std::size_t pos, BridgeEntry e);
-  void bsift_down(std::size_t pos, BridgeEntry e);
-  void bplace(std::size_t pos, BridgeEntry e) {
-    bheap_[pos] = e;
-    bridge_slots_[e.idx].heap_pos = static_cast<std::uint32_t>(pos);
+  /// The heap whose front fires next, or null when both are empty.
+  Heap* first_heap() {
+    if (bridge_heap_.empty()) return heap_.empty() ? nullptr : &heap_;
+    if (heap_.empty() || earlier(bridge_heap_.front(), heap_.front()))
+      return &bridge_heap_;
+    return &heap_;
   }
-  void fire_bridge_top();
-  /// True when the bridge front sorts before the real-heap front.
-  bool bridge_first() const {
-    if (bheap_.empty()) return false;
-    if (heap_.empty()) return true;
-    const BridgeEntry& b = bheap_.front();
-    const HeapEntry& h = heap_.front();
-    return b.time != h.time ? b.time < h.time : b.key < h.key;
-  }
+  void fire_top(Heap& h);
 
   fs_t now_ = 0;
   std::uint64_t next_seq_ = 1;
@@ -475,13 +445,9 @@ class EventQueue {
   std::uint32_t slot_count_ = 0;                 ///< slots handed out so far
   std::vector<const void*> owners_;  ///< slot -> purge tag (cold, out-of-line)
   std::vector<std::uint32_t> free_slots_;
-  std::vector<HeapEntry> heap_;
-  std::size_t live_ = 0;   ///< heap entries whose slot still holds their event
-  std::size_t stale_ = 0;  ///< heap entries retired by cancel, not yet popped
+  Heap heap_;         ///< ordinary events
+  Heap bridge_heap_;  ///< bridged steps
   std::unordered_map<std::uint32_t, Forward> forwards_;
-  std::vector<BridgeSlot> bridge_slots_;
-  std::vector<std::uint32_t> bridge_free_;
-  std::vector<BridgeEntry> bheap_;
   std::vector<std::vector<NodePending>> node_pending_;  ///< by node id
   std::uint64_t fused_ = 0;  ///< virtual fires (events that skipped the heap)
   bool running_ = false;       ///< inside run(); gates future-instant fusion

@@ -36,22 +36,35 @@ EventHandle Simulator::schedule_in(fs_t dt, Callback fn, EventCategory cat) {
 
 EventHandle Simulator::route_schedule(fs_t t, Callback&& fn, EventCategory cat,
                                       std::int32_t node) {
-  if (!engine_)
-    return wrap(0, global_q_.schedule(t, std::move(fn), cat, node, nullptr));
+  const Route r = node_route(node);
+  return wrap(r.index, r.queue->schedule(t, std::move(fn), cat, node, nullptr));
+}
+
+Simulator::Route Simulator::node_route(std::int32_t node) {
+  if (!engine_) return Route{0, &global_q_};
   if (ShardRt* cur = detail::tls_shard) {
     // Worker context: events may only target the worker's own shard. Any
     // other destination would race a foreign queue — and no legitimate call
     // site does it (cross-shard traffic goes through deliver_link).
     if (node < 0 || engine_->shard_of(node) != cur->index)
       throw std::logic_error("Simulator: worker event scheduled outside its shard");
-    return wrap(static_cast<std::uint32_t>(1 + cur->index),
-                cur->queue.schedule(t, std::move(fn), cat, node, nullptr));
+    return Route{static_cast<std::uint32_t>(1 + cur->index), &cur->queue};
   }
   // Coordinator context (workers parked): any queue is safe to touch.
-  if (node < 0) return wrap(0, global_q_.schedule(t, std::move(fn), cat, node, nullptr));
+  if (node < 0) return Route{0, &global_q_};
   const std::int32_t s = engine_->shard_of(node);
-  return wrap(static_cast<std::uint32_t>(1 + s),
-              engine_->shard_queue(s).schedule(t, std::move(fn), cat, node, nullptr));
+  return Route{static_cast<std::uint32_t>(1 + s), &engine_->shard_queue(s)};
+}
+
+Simulator::Route Simulator::link_route(std::int32_t dst_node) {
+  if (!engine_ || dst_node < 0) return Route{0, &global_q_};
+  const std::int32_t dst_shard = engine_->shard_of(dst_node);
+  const auto index = static_cast<std::uint32_t>(1 + dst_shard);
+  ShardRt* cur = detail::tls_shard;
+  // Coordinator context (sync point): workers are parked, direct insert.
+  if (cur == nullptr) return Route{index, &engine_->shard_queue(dst_shard)};
+  // A worker inserts directly only into its own shard.
+  return Route{index, cur->index == dst_shard ? &cur->queue : nullptr};
 }
 
 bool Simulator::cancel(EventHandle h) {
@@ -261,8 +274,7 @@ void Simulator::set_threads(unsigned threads) {
   if (global_q_.bridge_pending() > 0)
     throw std::logic_error(
         "Simulator::set_threads: bridged steps pending — shard before running "
-        "a bridged simulation (bridged steps carry raw pointers, not "
-        "migratable slots)");
+        "a bridged simulation (migration moves only ordinary events)");
   if (threads <= 1 || node_weights_.empty()) return;
   PartitionInput in;
   in.nodes = static_cast<std::int32_t>(node_weights_.size());
@@ -326,23 +338,11 @@ ParallelStats Simulator::parallel_stats() const {
 EventHandle Simulator::deliver_link(std::int32_t src_node, std::int32_t dst_node,
                                     fs_t arrival, Callback&& fn, EventCategory cat,
                                     const void* owner, std::uint64_t link_key) {
-  if (!engine_ || dst_node < 0)
-    return wrap(0, global_q_.schedule_link(arrival, std::move(fn), cat, dst_node,
-                                           owner, link_key));
-  const std::int32_t dst_shard = engine_->shard_of(dst_node);
-  ShardRt* cur = detail::tls_shard;
-  if (cur == nullptr) {
-    // Coordinator context (sync point): workers are parked, direct insert.
-    return wrap(static_cast<std::uint32_t>(1 + dst_shard),
-                engine_->shard_queue(dst_shard)
-                    .schedule_link(arrival, std::move(fn), cat, dst_node, owner,
-                                   link_key));
-  }
-  if (cur->index == dst_shard)
-    return wrap(static_cast<std::uint32_t>(1 + dst_shard),
-                cur->queue.schedule_link(arrival, std::move(fn), cat, dst_node,
-                                         owner, link_key));
-  engine_->push_cross(cur->index, dst_shard,
+  const Route r = link_route(dst_node);
+  if (r.queue != nullptr)
+    return wrap(r.index, r.queue->schedule_link(arrival, std::move(fn), cat, dst_node,
+                                                owner, link_key));
+  engine_->push_cross(detail::tls_shard->index, engine_->shard_of(dst_node),
                       CrossMsg{arrival, dst_node, cat, owner, link_key,
                                std::move(fn)});
   (void)src_node;
@@ -364,48 +364,21 @@ const EventQueue& Simulator::bridge_context_queue(std::int32_t node) const {
   return engine_->shard_queue(engine_->shard_of(node));
 }
 
-Simulator::BridgeToken Simulator::bridge_schedule(std::int32_t node, fs_t t,
-                                                  const EventQueue::BridgeStep& step) {
-  // Mirrors route_schedule exactly, so the step consumes the same sequence
-  // number from the same queue as the event it replaces.
-  if (!engine_) return BridgeToken{0, global_q_.bridge_schedule(t, step)};
-  if (ShardRt* cur = detail::tls_shard) {
-    if (node < 0 || engine_->shard_of(node) != cur->index)
-      throw std::logic_error("Simulator: worker bridged step outside its shard");
-    return BridgeToken{static_cast<std::uint32_t>(1 + cur->index),
-                       cur->queue.bridge_schedule(t, step)};
-  }
-  if (node < 0) return BridgeToken{0, global_q_.bridge_schedule(t, step)};
-  const std::int32_t s = engine_->shard_of(node);
-  return BridgeToken{static_cast<std::uint32_t>(1 + s),
-                     engine_->shard_queue(s).bridge_schedule(t, step)};
+EventHandle Simulator::bridge_schedule(std::int32_t node, fs_t t, Callback&& fn,
+                                       EventCategory cat, EventQueue::BridgeKind kind,
+                                       const void* client) {
+  const Route r = node_route(node);
+  return wrap(r.index,
+              r.queue->bridge_schedule(t, std::move(fn), cat, node, kind, client));
 }
 
-bool Simulator::bridge_cancel(BridgeToken tok) {
-  if (!tok.valid()) return false;
-  return queue_at(tok.queue).bridge_cancel(tok.token);
-}
-
-bool Simulator::bridge_deliver_link(std::int32_t dst_node, fs_t arrival,
-                                    std::uint64_t link_sub,
-                                    const EventQueue::BridgeStep& step) {
-  // Mirrors deliver_link's three-way routing; the cross-shard worker case
-  // keeps the exact mailbox path (Callback hand-off), so it reports false.
-  if (!engine_ || dst_node < 0) {
-    global_q_.bridge_schedule_link(arrival, link_sub, step);
-    return true;
-  }
-  const std::int32_t dst_shard = engine_->shard_of(dst_node);
-  ShardRt* cur = detail::tls_shard;
-  if (cur == nullptr) {
-    engine_->shard_queue(dst_shard).bridge_schedule_link(arrival, link_sub, step);
-    return true;
-  }
-  if (cur->index == dst_shard) {
-    cur->queue.bridge_schedule_link(arrival, link_sub, step);
-    return true;
-  }
-  return false;
+EventHandle Simulator::bridge_deliver_link(std::int32_t dst_node, fs_t arrival,
+                                           Callback&& fn, EventCategory cat,
+                                           const void* owner, std::uint64_t link_key) {
+  const Route r = link_route(dst_node);
+  if (r.queue == nullptr) return EventHandle();
+  return wrap(r.index, r.queue->bridge_schedule_link(arrival, std::move(fn), cat,
+                                                     dst_node, owner, link_key));
 }
 
 std::uint64_t Simulator::bridge_virtual_schedule(std::int32_t node) {

@@ -224,8 +224,9 @@ class Simulator {
   /// Call after the topology (and any pre-scheduled protocol work) is set
   /// up and before running; pending device events migrate to their shards.
   /// No-op if `threads` <= 1 or the graph doesn't split. Throws while
-  /// bridged steps are pending (they name a queue and cannot migrate), so
-  /// shard at set-up, before the first run.
+  /// bridged steps are pending (migration moves only ordinary events, not
+  /// the bridge heap and its node registry), so shard at set-up, before the
+  /// first run.
   void set_threads(unsigned threads);
 
   bool parallel() const { return engine_ != nullptr; }
@@ -238,10 +239,10 @@ class Simulator {
 
   /// kBridged, the default and production engine, lets the quiet PHY path
   /// (beacon cadence, control deliveries, CDC visibility) advance through
-  /// POD steps that fire at the exact same (time, key) positions, and fuses
-  /// the control-service and CDC-apply events of a quiet chain so they never
-  /// touch a heap. kExact drives every protocol action through
-  /// generation-counted events; it is the reference the bit-exact tests, the
+  /// bridged steps that fire at the exact same (time, key) positions, and
+  /// fuses the control-service and CDC-apply events of a quiet chain so they
+  /// never touch a heap. kExact drives every protocol action through
+  /// ordinary events alone; it is the reference the bit-exact tests, the
   /// fuzzer's engine slice and the shrinker compare against. Both produce
   /// RunDigest-bit-identical runs; only SimStats::fused tells them apart.
   enum class EngineMode : std::uint8_t { kExact, kBridged };
@@ -253,28 +254,21 @@ class Simulator {
   EngineMode engine_mode() const { return engine_mode_; }
   bool bridged() const { return engine_mode_ == EngineMode::kBridged; }
 
-  /// Cancellation token for a bridged step; (queue, per-queue token).
-  struct BridgeToken {
-    std::uint32_t queue = 0;
-    std::uint64_t token = 0;
-    bool valid() const { return token != 0; }
-  };
+  /// Arm a node-class bridged step for `node` at `t`: an ordinary event,
+  /// routed to the same queue (and consuming the same sequence number)
+  /// schedule_at would use, and cancelled through cancel(). `kind` and
+  /// `client` describe it to the fusion gates (EventQueue::BridgeKind).
+  EventHandle bridge_schedule(std::int32_t node, fs_t t, Callback&& fn,
+                              EventCategory cat, EventQueue::BridgeKind kind,
+                              const void* client);
 
-  /// Arm a node-class bridged step for `node` at `t`, routed to the same
-  /// queue (and consuming the same sequence number) schedule_at would use.
-  BridgeToken bridge_schedule(std::int32_t node, fs_t t,
-                              const EventQueue::BridgeStep& step);
-
-  /// Cancel a pending bridged step; stale tokens no-op (like cancel()).
-  bool bridge_cancel(BridgeToken tok);
-
-  /// Bridged link delivery: push a POD arrival step on the destination's
-  /// queue when the current context may touch it directly. Returns false
-  /// for a cross-shard send from a worker — the caller must fall back to
-  /// the exact deliver_link (mailbox) path.
-  bool bridge_deliver_link(std::int32_t dst_node, fs_t arrival,
-                           std::uint64_t link_sub,
-                           const EventQueue::BridgeStep& step);
+  /// Bridged link delivery: deliver_link's routing, armed as an arrival step
+  /// on the destination's queue. Returns an invalid handle — nothing
+  /// inserted — for a cross-shard send from a worker: the caller must fall
+  /// back to deliver_link (the mailbox path).
+  EventHandle bridge_deliver_link(std::int32_t dst_node, fs_t arrival, Callback&& fn,
+                                  EventCategory cat, const void* owner,
+                                  std::uint64_t link_key);
 
   /// Accounting for an event fused inline on `node`'s queue: consume its
   /// sequence number / count its firing without any heap traffic.
@@ -326,6 +320,18 @@ class Simulator {
   /// The callback is moved exactly once, into its slot.
   EventHandle route_schedule(fs_t t, Callback&& fn, EventCategory cat,
                              std::int32_t node);
+  /// Where a schedule call from the current context lands: the queue and
+  /// its index in handles (0 = global, 1+s = shard s). `queue` is null for
+  /// a cross-shard send from a worker, which goes through a mailbox.
+  struct Route {
+    std::uint32_t index;
+    EventQueue* queue;
+  };
+  /// Route for `node`'s events; throws for a worker scheduling outside its
+  /// shard.
+  Route node_route(std::int32_t node);
+  /// Route for a link delivery to `dst_node`.
+  Route link_route(std::int32_t dst_node);
   /// Move pending device-affine events into their shard queues, leaving
   /// forwarders behind so outstanding handles stay cancellable.
   void migrate_pending();

@@ -1,7 +1,7 @@
 #include "stress/spec.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <cerrno>
 #include <cstdlib>
 #include <map>
 #include <sstream>
@@ -86,14 +86,8 @@ double spec_size(const StressSpec& s) {
 
 namespace {
 
-std::int64_t parse_i64(const std::string& key, const std::string& v) {
-  errno = 0;
-  char* end = nullptr;
-  const long long out = std::strtoll(v.c_str(), &end, 10);
-  if (errno != 0 || end == v.c_str() || *end != '\0')
-    throw std::invalid_argument("stress: bad integer for " + key + ": '" + v + "'");
-  return static_cast<std::int64_t>(out);
-}
+/// Error prefix for the shared number parsers (common/time_units.hpp).
+constexpr const char* kWho = "stress";
 
 std::uint64_t parse_u64(const std::string& key, const std::string& v) {
   errno = 0;
@@ -104,15 +98,6 @@ std::uint64_t parse_u64(const std::string& key, const std::string& v) {
   return static_cast<std::uint64_t>(out);
 }
 
-double parse_f64(const std::string& key, const std::string& v) {
-  errno = 0;
-  char* end = nullptr;
-  const double out = std::strtod(v.c_str(), &end);
-  if (errno != 0 || end == v.c_str() || *end != '\0')
-    throw std::invalid_argument("stress: bad number for " + key + ": '" + v + "'");
-  return out;
-}
-
 constexpr const char* kPresetNames[] = {"none", "canonical", "gray", "source"};
 
 const char* preset_name(Preset p) { return kPresetNames[static_cast<int>(p)]; }
@@ -121,12 +106,6 @@ Preset preset_from_name(const std::string& name) {
   for (int i = 0; i < 4; ++i)
     if (name == kPresetNames[i]) return static_cast<Preset>(i);
   throw std::invalid_argument("stress: unknown preset '" + name + "'");
-}
-
-std::string fmt_f64(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
 }
 
 /// Parse "key=value key=value ..." from the remainder of a section line.
@@ -238,20 +217,20 @@ StressSpec spec_from_text(const std::string& text) {
       seen[2] = true;
       s.beacon_interval_ticks =
           static_cast<std::uint32_t>(parse_u64("beacon", take(kv, section, "beacon")));
-      s.ppm_spread = parse_f64("ppm", take(kv, section, "ppm"));
+      s.ppm_spread = parse_f64(kWho, "ppm", take(kv, section, "ppm"));
       s.enable_drift = parse_u64("drift", take(kv, section, "drift")) != 0;
-      s.propagation_delay = parse_i64("prop", take(kv, section, "prop"));
+      s.propagation_delay = parse_i64(kWho, "prop", take(kv, section, "prop"));
     } else if (section == "load") {
       seen[3] = true;
       s.n_flows = static_cast<std::uint32_t>(parse_u64("flows", take(kv, section, "flows")));
       s.frame_bytes = static_cast<std::uint32_t>(parse_u64("bytes", take(kv, section, "bytes")));
       s.saturate = parse_u64("saturate", take(kv, section, "saturate")) != 0;
-      s.rate_gbps = parse_f64("gbps", take(kv, section, "gbps"));
+      s.rate_gbps = parse_f64(kWho, "gbps", take(kv, section, "gbps"));
     } else if (section == "run") {
       seen[4] = true;
       s.threads = static_cast<std::uint32_t>(parse_u64("threads", take(kv, section, "threads")));
-      s.settle = parse_i64("settle", take(kv, section, "settle"));
-      s.horizon = parse_i64("horizon", take(kv, section, "horizon"));
+      s.settle = parse_i64(kWho, "settle", take(kv, section, "settle"));
+      s.horizon = parse_i64(kWho, "horizon", take(kv, section, "horizon"));
       // Optional for files written before the bridged engine existed.
       if (auto it = kv.find("engine"); it != kv.end()) {
         if (it->second == "bridged") {
@@ -264,18 +243,18 @@ StressSpec spec_from_text(const std::string& text) {
       }
     } else if (section == "sentinel") {
       seen[5] = true;
-      s.offset_bound_ticks = parse_f64("bound", take(kv, section, "bound"));
-      s.sample_period = parse_i64("sample", take(kv, section, "sample"));
+      s.offset_bound_ticks = parse_f64(kWho, "bound", take(kv, section, "bound"));
+      s.sample_period = parse_i64(kWho, "sample", take(kv, section, "sample"));
     } else if (section == "hier") {
       // Optional — absent in pre-hierarchy repro files.
       s.hier = parse_u64("enabled", take(kv, section, "enabled")) != 0;
-      s.hier_holdover_ceiling = parse_i64("ceiling", take(kv, section, "ceiling"));
+      s.hier_holdover_ceiling = parse_i64(kWho, "ceiling", take(kv, section, "ceiling"));
     } else if (section == "gray") {
       // Optional — absent in pre-watchdog repro files.
       s.gray = parse_u64("enabled", take(kv, section, "enabled")) != 0;
     } else if (section == "watchdog") {
-      s.wd_check_period = parse_i64("check", take(kv, section, "check"));
-      s.wd_backoff = parse_i64("backoff", take(kv, section, "backoff"));
+      s.wd_check_period = parse_i64(kWho, "check", take(kv, section, "check"));
+      s.wd_backoff = parse_i64(kWho, "backoff", take(kv, section, "backoff"));
     } else if (section == "preset") {
       s.preset = preset_from_name(take(kv, section, "name"));
     } else {

@@ -84,8 +84,8 @@ RunResult run_fig5(const RunConfig& cfg, SimStats* stats_out = nullptr) {
   chaos::ChaosEngine chaos_eng(net, dtp, {});
   if (cfg.chaos) {
     // Faults land inside bridged quiet spans: the flap cancels pending
-    // bridge steps (purge + bridge_cancel paths), the BER burst corrupts
-    // control blocks that travel as bridge arrivals.
+    // bridge steps (owner purge + handle cancel paths), the BER burst
+    // corrupts control blocks that travel as bridge arrivals.
     chaos::FaultPlan plan;
     plan.add(chaos::FaultSpec::link_flap(*topo.aggs[0], *topo.leaves[0],
                                          from_us(900), from_us(150)));
@@ -252,43 +252,59 @@ TEST_F(EngineBridge, NamedSpecRunsFusedAndMatchesExactReference) {
   }
 }
 
-// Bridge cancel tokens carry (slab index, generation): a token outlives its
-// step, and must not cancel a newer step that reuses the same slab entry.
-TEST(BridgeToken, StaleTokenDoesNotCancelReusedSlot) {
+// Bridged steps are ordinary slab events: a handle outlives its step and
+// must not cancel a newer step that reuses the slot, and every cancel, purge
+// and fire keeps the bridge count and the node registry exact.
+TEST(BridgeHandle, StaleHandleDoesNotCancelReusedSlot) {
+  using Kind = EventQueue::BridgeKind;
   EventQueue q;
   int fired = 0;
-  EventQueue::BridgeStep step;
-  step.fire = [](void* client, const EventQueue::BridgeStep&, fs_t) {
-    ++*static_cast<int*>(client);
+  const auto step = [&q, &fired](fs_t t) {
+    return q.bridge_schedule(t, [&fired] { ++fired; }, EventCategory::kGeneric, 0,
+                             Kind::kApply, nullptr);
   };
-  step.client = &fired;
-  step.node = 0;
 
-  const std::uint64_t cancelled = q.bridge_schedule(10, step);
-  EXPECT_TRUE(q.bridge_cancel(cancelled));
-  EXPECT_FALSE(q.bridge_cancel(cancelled)) << "double cancel";
-  const std::uint64_t reused = q.bridge_schedule(20, step);
-  EXPECT_EQ(static_cast<std::uint32_t>(reused), static_cast<std::uint32_t>(cancelled))
-      << "test premise: the freed slab entry is reused";
-  EXPECT_FALSE(q.bridge_cancel(cancelled)) << "stale token cancelled a newer step";
+  const EventQueue::Handle cancelled = step(10);
+  EXPECT_FALSE(q.bridge_apply_fusible(0, 10)) << "the registry lists a pending step";
+  EXPECT_TRUE(q.cancel(cancelled));
+  EXPECT_FALSE(q.cancel(cancelled)) << "double cancel";
+  EXPECT_TRUE(q.bridge_apply_fusible(0, 10)) << "a cancelled step stayed in the registry";
+  const EventQueue::Handle reused = step(20);
+  EXPECT_EQ(reused.slot, cancelled.slot) << "test premise: the freed slot is reused";
+  EXPECT_FALSE(q.cancel(cancelled)) << "stale handle cancelled a newer step";
+  EXPECT_TRUE(q.is_pending(reused));
   EXPECT_EQ(q.bridge_pending(), 1u);
 
-  // A fired step's token goes stale the same way.
+  // A fired step's handle goes stale the same way.
   EXPECT_EQ(q.run(EventQueue::kNoEventTime, false), 1u);
   EXPECT_EQ(fired, 1);
-  const std::uint64_t next = q.bridge_schedule(30, step);
-  EXPECT_EQ(static_cast<std::uint32_t>(next), static_cast<std::uint32_t>(reused));
-  EXPECT_FALSE(q.bridge_cancel(reused));
+  EXPECT_TRUE(q.bridge_apply_fusible(0, 30)) << "a fired step stayed in the registry";
+  const EventQueue::Handle next = step(30);
+  EXPECT_EQ(next.slot, reused.slot);
+  EXPECT_FALSE(q.cancel(reused));
   EXPECT_EQ(q.bridge_pending(), 1u);
-  EXPECT_FALSE(q.bridge_cancel(0)) << "0 is the invalid token";
-  EXPECT_TRUE(q.bridge_cancel(next));
+  EXPECT_FALSE(q.cancel(EventQueue::Handle{})) << "a default handle is invalid";
+  EXPECT_TRUE(q.cancel(next));
   EXPECT_EQ(q.bridge_pending(), 0u);
-  EXPECT_EQ(q.cancelled_count(), 2u);
+  EXPECT_EQ(q.size(), 0u);
+
+  // An owner purge removes arrival steps from the heap and the registry.
+  const int cable = 0;
+  q.bridge_schedule_link(40, [&fired] { ++fired; }, EventCategory::kFrame, 0, &cable, 1);
+  q.bridge_schedule_link(50, [&fired] { ++fired; }, EventCategory::kFrame, 0, &cable, 2);
+  EXPECT_FALSE(q.bridge_apply_fusible(0, 60)) << "arrivals pending before the apply";
+  EXPECT_EQ(q.purge_owner(&cable), 2u);
+  EXPECT_EQ(q.bridge_pending(), 0u);
+  EXPECT_TRUE(q.bridge_apply_fusible(0, 60)) << "a purged step stayed in the registry";
+  EXPECT_EQ(q.next_time(), EventQueue::kNoEventTime);
+  EXPECT_EQ(q.cancelled_count(), 4u);
+  EXPECT_EQ(fired, 1);
 }
 
-TEST_F(EngineBridge, SetThreadsWithPendingBridgeStepsThrows) {
-  // Sharding moves events between queues; bridge tokens name a queue, so
-  // re-sharding mid-flight is refused rather than silently misrouted.
+TEST_F(EngineBridge, SetThreadsWithPendingBridgedStepsThrows) {
+  // Sharding moves ordinary events between queues, not bridged steps and
+  // their node registry, so re-sharding mid-flight is refused rather than
+  // silently misrouted.
   Simulator sim(7);
   net::NetworkParams np;
   np.cable.propagation_delay = from_us(1);

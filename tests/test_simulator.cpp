@@ -350,7 +350,9 @@ TEST(PeriodicProcess, StopThenRestart) {
 /// cancel / purge / step / run_until sequences run against a std::set of
 /// (time, class, subkey) keys — the firing order event_queue.hpp promises:
 /// global events, then node events, each in scheduling order, then link
-/// deliveries by link key. In serial mode every fire must pop the
+/// deliveries by link key. Node events and link deliveries are sometimes
+/// armed as bridged steps, which wait in the second heap but take the same
+/// keys, handles and purges. In serial mode every fire must pop the
 /// reference's front; cancel(), pending(), events_pending() and the stats
 /// counters must agree with the reference after every operation.
 class EngineOracle {
@@ -376,17 +378,37 @@ class EngineOracle {
     return id;
   }
 
-  /// A link delivery to `dst`, tagged with `owner` for purge_deliveries.
-  int deliver(fs_t t, int dst, const void* owner) {
+  /// A bridged step on `node` (>= 0): the same node-class key as schedule.
+  int bridge(fs_t t, int node, int action) {
     const int id = static_cast<int>(evs_.size());
-    const std::uint64_t sub = next_link_++;
-    evs_.push_back(Ev{Key{t, 2, sub, id}, dst, 0, owner, EventHandle()});
-    const EventHandle h = sim_.deliver_link(dst, dst, t, [this, id] { on_fire(id); },
-                                            EventCategory::kFrame, owner, sub);
+    evs_.push_back(Ev{Key{t, 1, next_seq_++, id}, node, action, nullptr, EventHandle()});
+    const EventHandle h =
+        sim_.bridge_schedule(node, t, [this, id] { on_fire(id); }, EventCategory::kGeneric,
+                             EventQueue::BridgeKind::kApply, nullptr);
     evs_[static_cast<std::size_t>(id)].h = h;
     added(id);
     return id;
   }
+
+  /// A link delivery to `dst`, tagged with `owner` for purge_deliveries;
+  /// armed as a bridged arrival step when `bridged`.
+  int deliver(fs_t t, int dst, const void* owner, bool bridged) {
+    const int id = static_cast<int>(evs_.size());
+    const std::uint64_t sub = next_link_++;
+    evs_.push_back(Ev{Key{t, 2, sub, id}, dst, 0, owner, EventHandle()});
+    const auto fire = [this, id] { on_fire(id); };
+    const EventHandle h =
+        bridged ? sim_.bridge_deliver_link(dst, t, fire, EventCategory::kFrame, owner, sub)
+                : sim_.deliver_link(dst, dst, t, fire, EventCategory::kFrame, owner, sub);
+    EXPECT_TRUE(h.valid()) << "coordinator deliveries are inserted directly";
+    evs_[static_cast<std::size_t>(id)].h = h;
+    added(id);
+    return id;
+  }
+
+  /// Whether random_op may arm bridged steps; off while a queue that is
+  /// about to be sharded must hold none (set_threads refuses them).
+  void allow_bridge(bool on) { allow_bridge_ = on; }
 
   void cancel(int id) {
     const Ev& e = evs_[static_cast<std::size_t>(id)];
@@ -462,11 +484,16 @@ class EngineOracle {
     if (op < 35) {
       // Zero offsets exercise same-instant scheduling.
       const fs_t dt = rng_.bernoulli(0.2) ? 0 : rng_.uniform_range(1, spread);
-      schedule(now + dt, static_cast<int>(rng_.uniform(kNodes + 1)) - 1,
-               serial ? static_cast<int>(rng_.uniform(4)) : 0);
+      const int node = static_cast<int>(rng_.uniform(kNodes + 1)) - 1;
+      const int action = serial ? static_cast<int>(rng_.uniform(4)) : 0;
+      if (allow_bridge_ && node >= 0 && rng_.bernoulli(0.4)) {
+        bridge(now + dt, node, action);
+      } else {
+        schedule(now + dt, node, action);
+      }
     } else if (op < 45) {
       deliver(now + rng_.uniform_range(0, spread), static_cast<int>(rng_.uniform(kNodes)),
-              &owners_[rng_.uniform(2)]);
+              &owners_[rng_.uniform(2)], allow_bridge_ && rng_.bernoulli(0.4));
     } else if (op < 65) {
       if (!evs_.empty()) cancel(pick());
     } else if (op < 68) {
@@ -548,6 +575,7 @@ class EngineOracle {
   std::uint64_t cancelled_ = 0;
   std::size_t peak_ = 0;
   std::array<char, 2> owners_{};
+  bool allow_bridge_ = true;
   std::array<std::vector<int>, kNodes + 1> fired_by_node_{};
   std::array<std::vector<int>, kNodes + 1> expected_by_node_{};
 };
@@ -590,7 +618,9 @@ TEST(EngineOracle, ShardedRunFollowsReferencePerNode) {
     EngineOracle o(seed);
     o.set_up_graph();
     // Setup-time events (same-instant ones included), some cancelled, some
-    // left stale by a cancel, before the queue is sharded.
+    // left stale by a cancel, before the queue is sharded. Bridged steps
+    // join once the shards exist.
+    o.allow_bridge(false);
     for (int i = 0; i < 500; ++i) o.random_op(from_ns(400));
     // Node events at the current instant are pending when the queue is
     // sharded; one of them cancelled, so a stale entry is there too.
@@ -602,6 +632,7 @@ TEST(EngineOracle, ShardedRunFollowsReferencePerNode) {
     o.sim().set_threads(2);
     ASSERT_EQ(o.sim().shard_count(), 2);
     o.check_counts();
+    o.allow_bridge(true);
     for (int i = 0; i < 1500 && !::testing::Test::HasFailure(); ++i)
       o.random_op(from_ns(400));
     o.run_until(o.sim().now() + from_us(10));

@@ -108,9 +108,9 @@ TEST(StressDifferential, BridgedTwoThreadDigestMatchesExactSerial) {
 TEST(StressDifferential, BridgedFourThreadWithFaultsMatchesExactSerial) {
   stress::StressSpec s = differential_spec(4);
   s.bridged = true;
-  // Faults land inside bridged quiet spans: the flap exercises the purge /
-  // bridge_cancel paths, the BER burst corrupts blocks riding as bridged
-  // arrival steps.
+  // Faults land inside bridged quiet spans: the flap exercises the owner
+  // purge and handle cancel paths, the BER burst corrupts blocks riding as
+  // bridged arrival steps.
   chaos::FaultDescriptor flap;
   flap.kind = chaos::FaultKind::kLinkFlap;
   flap.a = "S0";
